@@ -1,5 +1,5 @@
 //! Serving throughput: images/sec vs thread count for one shared
-//! `CompiledModel` driving a batch through `infer_batch`.
+//! `CompiledModel` driving a batch through `try_infer_batch`.
 //!
 //! This is the serving scenario the model/context split exists for: the
 //! packed weights are compiled once, then N worker threads each binarize
@@ -52,7 +52,7 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(17);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
     let batch = if quick {
         2 * max_threads
     } else {
@@ -67,10 +67,16 @@ fn main() {
     let mut ctx = model.new_context();
     let serial: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut ctx, img))
+        .map(|img| model.try_infer(&mut ctx, img).expect("infer"))
         .collect();
-    let fanned = with_pool(max_threads.min(4), || model.infer_batch(&inputs));
-    assert_eq!(fanned, serial, "infer_batch diverged from serial inference");
+    let fanned: Vec<Vec<f32>> = with_pool(max_threads.min(4), || model.try_infer_batch(&inputs))
+        .into_iter()
+        .map(|r| r.expect("batch inference"))
+        .collect();
+    assert_eq!(
+        fanned, serial,
+        "try_infer_batch diverged from serial inference"
+    );
     eprintln!("[bit-identity check passed: batch == serial]");
 
     let budget = if quick {
@@ -87,7 +93,7 @@ fn main() {
         let t = with_pool(threads, || {
             measure(
                 || {
-                    std::hint::black_box(model.infer_batch(&inputs));
+                    std::hint::black_box(model.try_infer_batch(&inputs));
                 },
                 budget,
                 2,

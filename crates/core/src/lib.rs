@@ -13,10 +13,12 @@
 //! let spec = vgg16();
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let weights = NetworkWeights::random(&spec, &mut rng);
-//! let mut engine = Network::compile(&spec, &weights);
+//! let model = CompiledModel::try_compile(&spec, &weights)?;
+//! let mut ctx = model.new_context();
 //! let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-//! let logits = engine.infer(&image);
+//! let logits = model.try_infer(&mut ctx, &image)?;
 //! assert_eq!(logits.len(), 1000);
+//! # Ok::<(), bitflow_core::graph::BitFlowError>(())
 //! ```
 //!
 //! The three-level structure of the paper maps onto the re-exported crates:
@@ -44,10 +46,9 @@ pub use bitflow_tensor as tensor;
 // The observability entry points, importable straight off the root crate:
 // `bitflow::CompiledModel::enable_telemetry` returns a handle whose
 // `snapshot()` is a `bitflow::MetricsSnapshot`, exportable with
-// `MetricsSnapshot::to_prometheus` or streamed per-request through a
-// `bitflow::SpanSink`.
+// `MetricsSnapshot::to_prometheus`.
 pub use bitflow_graph::CompiledModel;
-pub use bitflow_telemetry::{MetricsSnapshot, ModelTelemetry, Roofline, SpanSink, SCHEMA_VERSION};
+pub use bitflow_telemetry::{MetricsSnapshot, ModelTelemetry, Roofline, SCHEMA_VERSION};
 
 // The serving runtime, importable straight off the root crate: wrap a
 // `CompiledModel` in a `bitflow::Server` for bounded admission, deadlines,
@@ -66,7 +67,7 @@ pub mod prelude {
     pub use bitflow_graph::spec::{LayerSpec, NetworkSpec};
     pub use bitflow_graph::weights::{BnParams, LayerWeights, NetworkWeights};
     pub use bitflow_graph::{
-        CompiledModel, ExecPlan, FloatNetwork, InferenceContext, Network, PlanNode, PlanOptions,
+        CompiledModel, ExecPlan, FloatNetwork, InferenceContext, PlanNode, PlanOptions,
     };
     pub use bitflow_net::{NetConfig, NetServer};
     pub use bitflow_ops::binary::{
@@ -80,8 +81,8 @@ pub mod prelude {
     };
     pub use bitflow_simd::{features, HwFeatures, VectorScheduler};
     pub use bitflow_telemetry::{
-        JsonLinesSink, MachineSnapshot, MetricsSnapshot, ModelTelemetry, NoopSink, OpBound,
-        PerfSnapshot, RequestTrace, RingSink, Roofline, SpanSink, SCHEMA_VERSION,
+        MachineSnapshot, MetricsSnapshot, ModelTelemetry, OpBound, PerfSnapshot, RequestTrace,
+        Roofline, SCHEMA_VERSION,
     };
     pub use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 }
@@ -96,9 +97,11 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(1);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let mut engine = Network::compile(&spec, &weights);
+        let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
         let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let logits = engine.infer(&image);
+        let logits = model
+            .try_infer(&mut model.new_context(), &image)
+            .expect("infer");
         assert_eq!(logits.len(), 10);
     }
 
@@ -123,7 +126,7 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(3);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::CompiledModel::compile(&spec, &weights);
+        let model = crate::CompiledModel::try_compile(&spec, &weights).expect("compile");
         let server = std::sync::Arc::new(crate::Server::start(
             std::sync::Arc::new(model),
             ServerConfig::default(),
@@ -138,11 +141,10 @@ mod tests {
     fn root_exposes_telemetry_entry_points() {
         // The observability names resolve at the crate root, without
         // reaching into the `telemetry` module.
-        fn _takes_sink(_: &dyn crate::SpanSink) {}
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(2);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::CompiledModel::compile(&spec, &weights);
+        let model = crate::CompiledModel::try_compile(&spec, &weights).expect("compile");
         let t = model.enable_telemetry();
         let snap: crate::MetricsSnapshot = t.snapshot();
         assert_eq!(snap.schema_version, crate::SCHEMA_VERSION);

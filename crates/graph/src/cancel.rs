@@ -1,8 +1,8 @@
 //! Cooperative cancellation for in-flight inference.
 //!
-//! A [`CancelToken`] is handed to
-//! [`crate::engine::CompiledModel::try_infer_cancellable`] and checked at
-//! every operator boundary. Cancellation is *cooperative*: an operator that
+//! A [`CancelToken`] rides in an [`crate::engine::InferRequest`] to
+//! [`crate::engine::CompiledModel::try_serve`] and is checked at every
+//! operator boundary. Cancellation is *cooperative*: an operator that
 //! has started runs to completion, so a request aborts within one
 //! operator's latency of the signal. Aborting between operators cannot
 //! poison engine scratch state — every operator fully overwrites its

@@ -1,8 +1,8 @@
 //! The BitFlow inference engine.
 //!
-//! [`CompiledModel::compile`] turns a [`NetworkSpec`] + [`NetworkWeights`]
-//! into a ready-to-run binary engine, performing the paper's network-level
-//! work up front:
+//! [`CompiledModel::try_compile`] turns a [`NetworkSpec`] +
+//! [`NetworkWeights`] into a ready-to-run binary engine, performing the
+//! paper's network-level work up front:
 //!
 //! * weights → [`BitFilterBank`]/[`BinaryFcWeights`] (binarize + pack +
 //!   fused transpose, once);
@@ -15,15 +15,19 @@
 //! `Arc<CompiledModel>` serves any number of request threads. The mutable
 //! half — the pre-allocated activation/scratch buffers the plan describes —
 //! lives in a per-session [`InferenceContext`] ([`CompiledModel::new_context`]).
-//! [`CompiledModel::infer`] then runs the chain with **zero allocation**,
-//! and [`CompiledModel::infer_batch`] fans a batch of images out over the
-//! installed rayon pool with one context per worker chunk (bit-identical to
-//! running the images serially).
 //!
-//! [`Network`] is the single-threaded convenience wrapper (one model + one
-//! context), and [`FloatNetwork`] compiles the same spec into the
-//! full-precision baseline engine (im2col conv + sgemm, float max-pool,
-//! sgemm FC).
+//! Every inference walks the op chain through one loop, reached by five
+//! calls: [`CompiledModel::try_infer`] (allocation-free apart from the
+//! returned logits), [`CompiledModel::try_infer_profiled`] (plus per-op
+//! wall times), [`CompiledModel::try_infer_batch`] (a batch fanned out over
+//! the installed rayon pool, one context per worker chunk, bit-identical to
+//! running the images serially), and the two serving calls
+//! [`CompiledModel::try_serve`] / [`CompiledModel::try_serve_batch`], whose
+//! [`InferRequest`]s carry a cancel token, a fault-hook tag and a request
+//! trace.
+//!
+//! [`FloatNetwork`] compiles the same spec into the full-precision baseline
+//! engine (im2col conv + sgemm, float max-pool, sgemm FC).
 
 use crate::cancel::CancelToken;
 use crate::error::{BitFlowError, InputGeometry, SlotKind, SlotTypeError};
@@ -41,8 +45,7 @@ use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, r
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::scheduler::VectorScheduler;
 use bitflow_telemetry::{
-    MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, RequestTrace, SpanSink,
-    TileStats, TraceBuilder,
+    MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, TileStats, TraceBuilder,
 };
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use std::cell::{Cell, RefCell};
@@ -55,7 +58,7 @@ use std::time::{Duration, Instant};
 /// by the chaos layer (`BITFLOW_CHAOS` via `bitflow-serve`); the hook may
 /// sleep (slow-op) or panic (panic-op). The tag travels through
 /// [`InferTagGuard`], so it reaches hooks even on rayon workers inside
-/// [`CompiledModel::try_infer_batch_cancellable`], where a serve-side
+/// [`CompiledModel::try_serve_batch`], where a serve-side
 /// thread-local would not. Disabled cost: one `OnceLock::get` per operator.
 pub type FaultHook = Arc<dyn Fn(usize, &str, u64) + Send + Sync>;
 
@@ -73,7 +76,7 @@ thread_local! {
     static CURRENT_TAG: Cell<u64> = const { Cell::new(UNTAGGED) };
     /// Request-scoped [`TraceBuilder`] active on this thread (none when
     /// tracing is off), maintained by [`TraceScopeGuard`]. Like the tag,
-    /// it travels with each [`BatchItem`] so operator spans land in the
+    /// it travels with each [`InferRequest`] so operator spans land in the
     /// right request even on rayon workers.
     static CURRENT_TRACE: RefCell<Option<Arc<TraceBuilder>>> = const { RefCell::new(None) };
 }
@@ -215,20 +218,21 @@ impl Slot {
 /// them.
 pub type ProfiledLogits = (Vec<f32>, Vec<(String, Duration)>);
 
-/// One request inside a coalesced inference batch
-/// ([`CompiledModel::try_infer_batch_cancellable`]): the input tensor, the
-/// request's own cancel token, and the tag fault hooks see while it runs.
-pub struct BatchItem<'a> {
+/// One serving request for [`CompiledModel::try_serve`] and
+/// [`CompiledModel::try_serve_batch`]: the input tensor, the request's own
+/// cancel token, the tag fault hooks see while it runs, and the trace its
+/// operator spans go to.
+pub struct InferRequest<'a> {
     /// Input image.
     pub input: &'a Tensor,
-    /// Cooperative cancellation for this item only.
+    /// Cooperative cancellation for this request only.
     pub cancel: &'a CancelToken,
-    /// Request tag reported to the installed [`FaultHook`] (use
-    /// [`UNTAGGED`] for none).
+    /// Request tag reported to the installed [`FaultHook`]. [`UNTAGGED`]
+    /// leaves the calling thread's tag as it is.
     pub tag: u64,
-    /// Request trace to collect this item's operator spans into (`None`
-    /// when tracing is off). Entered via [`enter_trace_scope`] on whatever
-    /// rayon worker runs the item.
+    /// Request trace to collect this request's operator spans into. `None`
+    /// leaves the calling thread's trace scope as it is. Entered via
+    /// [`enter_trace_scope`] on whatever rayon worker runs the request.
     pub trace: Option<Arc<TraceBuilder>>,
 }
 
@@ -299,7 +303,7 @@ enum RtOp {
         out: usize,
         out_pad: usize,
     },
-    /// Unfused conv: PressedConv → float count map (`BITFLOW_FUSE=0` or a
+    /// Unfused conv: PressedConv → float count map (an unfused plan or a
     /// float-tapped chain). A [`RtOp::BnSign`] consumes the map.
     ConvFloat {
         name: String,
@@ -425,13 +429,12 @@ impl CompiledModel {
     /// [`NetworkWeights::validate_against`] first, so the build below
     /// works on geometry-checked data only.
     pub fn try_compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Result<Self, BitFlowError> {
-        Self::try_compile_with(spec, weights, &PlanOptions::from_env())
+        Self::try_compile_with(spec, weights, &PlanOptions::default())
     }
 
-    /// [`CompiledModel::try_compile`] with explicit [`PlanOptions`] instead
-    /// of the environment's — the deterministic entry point for A/B and
-    /// differential harnesses (`BITFLOW_FUSE` is process-global; options
-    /// are not).
+    /// [`CompiledModel::try_compile`] with explicit [`PlanOptions`] — the
+    /// entry point for A/B and differential harnesses, e.g.
+    /// [`PlanOptions::unfused`] as the oracle for the fused plan.
     pub fn try_compile_with(
         spec: &NetworkSpec,
         weights: &NetworkWeights,
@@ -650,19 +653,6 @@ impl CompiledModel {
         })
     }
 
-    /// Compiles a spec + weights into a ready engine (panicking wrapper
-    /// over [`CompiledModel::try_compile`] for trusted callers).
-    ///
-    /// # Panics
-    /// On any [`BitFlowError`] `try_compile` would report: malformed spec,
-    /// spec/weight disagreement, unschedulable kernel geometry.
-    pub fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Self {
-        match Self::try_compile(spec, weights) {
-            Ok(model) => model,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The execution plan this engine compiled to — introspection for
     /// tests and tools asserting exactly which Conv→BN→Sign chains fused.
     pub fn plan(&self) -> &ExecPlan {
@@ -732,32 +722,14 @@ impl CompiledModel {
 
     /// Activation/scratch bytes each [`InferenceContext`] pre-allocates.
     pub fn context_bytes(&self) -> usize {
-        // Planned sizes equal allocated sizes; summing a throwaway context
-        // keeps one source of truth for the byte accounting.
-        self.new_context().activation_bytes()
+        self.slot_specs.iter().map(slot_bytes).sum()
     }
 
-    /// Enables per-operator telemetry with the default no-op span sink
-    /// (metrics on, request tracing off) and returns the shared handle.
+    /// Enables per-operator telemetry and returns the shared handle.
     /// Idempotent: once enabled, later calls return the existing handle.
     pub fn enable_telemetry(&self) -> Arc<ModelTelemetry> {
         self.telemetry
             .get_or_init(|| Arc::new(ModelTelemetry::new(&self.spec.name, self.op_descriptors())))
-            .clone()
-    }
-
-    /// Enables telemetry with an explicit span sink. If telemetry was
-    /// already enabled the existing handle is returned and `sink` is
-    /// dropped — the first caller wins.
-    pub fn enable_telemetry_with_sink(&self, sink: Box<dyn SpanSink>) -> Arc<ModelTelemetry> {
-        self.telemetry
-            .get_or_init(|| {
-                Arc::new(ModelTelemetry::with_sink(
-                    &self.spec.name,
-                    self.op_descriptors(),
-                    sink,
-                ))
-            })
             .clone()
     }
 
@@ -919,123 +891,7 @@ impl CompiledModel {
         ctx: &mut InferenceContext,
         input: &Tensor,
     ) -> Result<Vec<f32>, BitFlowError> {
-        self.try_infer_cancellable(ctx, input, &CancelToken::none())
-    }
-
-    /// [`CompiledModel::try_infer`] with a cooperative [`CancelToken`],
-    /// checked at every operator boundary: a cancelled token surfaces as
-    /// [`BitFlowError::Cancelled`], a passed deadline as
-    /// [`BitFlowError::DeadlineExceeded`]. Abandoning a run between
-    /// operators does not poison `ctx` — every operator fully overwrites
-    /// its output interior and padding margins are never written, so the
-    /// next complete run through the same context stays bit-identical to a
-    /// fresh one.
-    pub fn try_infer_cancellable(
-        &self,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f32>, BitFlowError> {
-        self.check_request(ctx, input)?;
-        match self.telemetry.get() {
-            None => match current_trace() {
-                None => {
-                    for i in 0..self.ops.len() {
-                        cancel.check()?;
-                        self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                    }
-                }
-                Some(tb) => {
-                    for i in 0..self.ops.len() {
-                        cancel.check()?;
-                        let start_ns = tb.now_ns();
-                        let t0 = Instant::now();
-                        self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                        tb.push_op(OpSpan {
-                            op_index: i as u64,
-                            name: self.ops[i].name().to_string(),
-                            start_ns,
-                            duration_ns: t0.elapsed().as_nanos() as u64,
-                        });
-                    }
-                }
-            },
-            Some(t) => self.run_ops_recorded(t, ctx, input, cancel)?,
-        }
-        Ok(ctx.slots[self.logits_slot]
-            .vec()
-            .map_err(slot_type("logits", SlotKind::Vec))?
-            .clone())
-    }
-
-    /// The telemetry-enabled operator loop: identical op sequence to the
-    /// plain loop, plus one `Instant` pair and a few relaxed atomics per
-    /// op. A [`RequestTrace`] is built only when the sink asks for traces,
-    /// keeping the metrics-only path allocation-free.
-    ///
-    /// The whole loop runs inside [`ModelTelemetry::perf_request_scope`],
-    /// so when hardware counters are available the request's cycles,
-    /// instructions, and cache/branch misses accumulate into the model's
-    /// perf totals; when they are not, the scope is one relaxed load.
-    fn run_ops_recorded(
-        &self,
-        t: &ModelTelemetry,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<(), BitFlowError> {
-        let request_id = t.next_request_id();
-        let trace = current_trace();
-        let sink_tracing = t.tracing_enabled();
-        let tracing = sink_tracing || trace.is_some();
-        let mut spans = Vec::new();
-        let t_request = Instant::now();
-        t.perf_request_scope(|| -> Result<(), BitFlowError> {
-            for i in 0..self.ops.len() {
-                cancel.check()?;
-                let t0 = Instant::now();
-                self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                let ns = t0.elapsed().as_nanos() as u64;
-                t.record_op(i, ns);
-                if tracing {
-                    spans.push(OpSpan {
-                        op_index: i as u64,
-                        name: self.ops[i].name().to_string(),
-                        start_ns: t0.saturating_duration_since(t_request).as_nanos() as u64,
-                        duration_ns: ns,
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        let total_ns = t_request.elapsed().as_nanos() as u64;
-        if let Some(tb) = &trace {
-            // Re-base the op spans from this request's start onto the
-            // trace's own origin (the connection accept / enqueue time).
-            let base = tb.offset_ns(t_request);
-            for s in &spans {
-                tb.push_op(OpSpan {
-                    start_ns: base.saturating_add(s.start_ns),
-                    ..s.clone()
-                });
-            }
-        }
-        if sink_tracing {
-            t.record_request(&RequestTrace::new(request_id, total_ns, spans));
-        }
-        Ok(())
-    }
-
-    /// Runs inference in `ctx`; returns the logits (panicking wrapper over
-    /// [`CompiledModel::try_infer`]).
-    ///
-    /// # Panics
-    /// On a malformed request (see [`crate::error::InputGeometry`]).
-    pub fn infer(&self, ctx: &mut InferenceContext, input: &Tensor) -> Vec<f32> {
-        match self.try_infer(ctx, input) {
-            Ok(logits) => logits,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_ops(ctx, input, &CancelToken::none(), None)
     }
 
     /// Runs inference with per-operator wall-clock timing, with the same
@@ -1045,186 +901,178 @@ impl CompiledModel {
         ctx: &mut InferenceContext,
         input: &Tensor,
     ) -> Result<ProfiledLogits, BitFlowError> {
-        self.try_infer_profiled_cancellable(ctx, input, &CancelToken::none())
+        let mut times = Vec::with_capacity(self.ops.len());
+        let logits = self.run_ops(ctx, input, &CancelToken::none(), Some(&mut times))?;
+        Ok((logits, times))
     }
 
-    /// [`CompiledModel::try_infer_profiled`] with a cooperative
-    /// [`CancelToken`] checked at every operator boundary (same contract
-    /// as [`CompiledModel::try_infer_cancellable`]).
-    pub fn try_infer_profiled_cancellable(
+    /// Runs a batch of images over the installed rayon pool with per-item
+    /// results: [`CompiledModel::try_serve_batch`] over untagged,
+    /// uncancellable, untraced requests.
+    pub fn try_infer_batch(&self, inputs: &[Tensor]) -> Vec<Result<Vec<f32>, BitFlowError>> {
+        let none = CancelToken::none();
+        let requests: Vec<InferRequest<'_>> = inputs
+            .iter()
+            .map(|input| InferRequest {
+                input,
+                cancel: &none,
+                tag: UNTAGGED,
+                trace: None,
+            })
+            .collect();
+        self.try_serve_batch(&requests)
+    }
+
+    /// Runs one serving request in `ctx`. The request's [`CancelToken`] is
+    /// checked at every operator boundary: a cancelled token surfaces as
+    /// [`BitFlowError::Cancelled`], a passed deadline as
+    /// [`BitFlowError::DeadlineExceeded`]. Abandoning a run between
+    /// operators does not poison `ctx` — every operator fully overwrites
+    /// its output interior and padding margins are never written, so the
+    /// next complete run through the same context stays bit-identical to a
+    /// fresh one.
+    ///
+    /// The request's tag reaches the installed [`FaultHook`] and its trace
+    /// collects one [`OpSpan`] per operator. A panic inside inference is
+    /// caught and reported as [`BitFlowError::Internal`] naming the
+    /// operator that was executing; `ctx` may then hold partially-written
+    /// buffers, so replace it (cheap — a handful of zeroed allocations)
+    /// before reusing it.
+    pub fn try_serve(
+        &self,
+        ctx: &mut InferenceContext,
+        request: &InferRequest<'_>,
+    ) -> Result<Vec<f32>, BitFlowError> {
+        CURRENT_OP.with(|c| c.set(usize::MAX));
+        let run = std::panic::AssertUnwindSafe(|| {
+            // A panicking hook unwinds through the guards' Drops, restoring
+            // the tag and trace before the next request runs on this thread.
+            let _tag = (request.tag != UNTAGGED).then(|| enter_infer_tag(request.tag));
+            let _trace = request
+                .trace
+                .as_ref()
+                .map(|tb| enter_trace_scope(Arc::clone(tb)));
+            self.run_ops(ctx, request.input, request.cancel, None)
+        });
+        std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            // `&*payload`, not `&payload`: the latter would unsize the `Box`
+            // itself into the `dyn Any` and every downcast of the actual
+            // message would miss.
+            let msg = panic_message(&*payload);
+            let i = CURRENT_OP.with(|c| c.replace(usize::MAX));
+            Err(BitFlowError::Internal(match self.ops.get(i) {
+                Some(op) => format!("operator `{}` (#{i}): {msg}", op.name()),
+                None => msg,
+            }))
+        })
+    }
+
+    /// Runs a batch of serving requests over the installed rayon pool with
+    /// per-request results: the batch is split into contiguous chunks, each
+    /// worker chunk gets its own [`InferenceContext`], and every request
+    /// runs through [`CompiledModel::try_serve`] inside its worker — so
+    /// tags, traces and cancellations keep working when requests are
+    /// coalesced into a batch.
+    ///
+    /// **Graceful degradation:** a malformed or cancelled request yields its
+    /// own `Err` without poisoning the rest of the batch — every other
+    /// request's logits are bit-identical to running it through
+    /// [`CompiledModel::try_infer`] serially. A panic is reported as
+    /// [`BitFlowError::Internal`] for that request only, and the worker's
+    /// context is replaced before the next request runs.
+    pub fn try_serve_batch(
+        &self,
+        requests: &[InferRequest<'_>],
+    ) -> Vec<Result<Vec<f32>, BitFlowError>> {
+        use rayon::prelude::*;
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        let threads = rayon::current_num_threads().max(1);
+        let chunk = requests.len().div_ceil(threads).max(1);
+        let telemetry = self.telemetry.get();
+        if let Some(t) = telemetry {
+            t.batch()
+                .batch_started(requests.len() as u64, requests.len().div_ceil(chunk) as u64);
+        }
+        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(requests.len());
+        out.resize_with(requests.len(), || {
+            Err(BitFlowError::Internal("item not reached".into()))
+        });
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(ci, outs)| {
+                let mut ctx = self.new_context();
+                for (j, o) in outs.iter_mut().enumerate() {
+                    *o = self.try_serve(&mut ctx, &requests[ci * chunk + j]);
+                    if matches!(o, Err(BitFlowError::Internal(_))) {
+                        // A panic may have left the session buffers
+                        // partially written — replace them so later
+                        // requests stay bit-identical to serial runs.
+                        ctx = self.new_context();
+                    }
+                    if let Some(t) = telemetry {
+                        t.batch().item_finished(o.is_ok());
+                    }
+                }
+            });
+        out
+    }
+
+    /// The one operator loop behind every inference call. The cancel token
+    /// is checked at each operator boundary. Telemetry (per-op latency
+    /// histograms and the request's hardware counters), the thread's trace
+    /// scope (one [`OpSpan`] per op) and `profile` (one wall time per op)
+    /// are optional observers; with none of them active the loop reads no
+    /// clock.
+    fn run_ops(
         &self,
         ctx: &mut InferenceContext,
         input: &Tensor,
         cancel: &CancelToken,
-    ) -> Result<ProfiledLogits, BitFlowError> {
+        mut profile: Option<&mut Vec<(String, Duration)>>,
+    ) -> Result<Vec<f32>, BitFlowError> {
         self.check_request(ctx, input)?;
-        let mut times = Vec::with_capacity(self.ops.len());
-        for i in 0..self.ops.len() {
-            cancel.check()?;
-            let t0 = Instant::now();
-            self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-            times.push((self.ops[i].name().to_string(), t0.elapsed()));
+        let telemetry = self.telemetry.get();
+        let trace = current_trace();
+        let timed = telemetry.is_some() || trace.is_some() || profile.is_some();
+        let mut run = || -> Result<(), BitFlowError> {
+            for i in 0..self.ops.len() {
+                cancel.check()?;
+                let t0 = timed.then(Instant::now);
+                self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
+                let Some(t0) = t0 else { continue };
+                let elapsed = t0.elapsed();
+                if let Some(t) = telemetry {
+                    t.record_op(i, elapsed.as_nanos() as u64);
+                }
+                if let Some(tb) = &trace {
+                    tb.push_op(OpSpan {
+                        op_index: i as u64,
+                        name: self.ops[i].name().to_string(),
+                        start_ns: tb.offset_ns(t0),
+                        duration_ns: elapsed.as_nanos() as u64,
+                    });
+                }
+                if let Some(times) = profile.as_deref_mut() {
+                    times.push((self.ops[i].name().to_string(), elapsed));
+                }
+            }
+            Ok(())
+        };
+        match telemetry {
+            // The whole loop runs inside the hardware-counter scope, which
+            // is one relaxed load when sampling is off or unavailable.
+            Some(t) => {
+                t.request_started();
+                t.perf_request_scope(run)?;
+            }
+            None => run()?,
         }
-        let logits = ctx.slots[self.logits_slot]
+        Ok(ctx.slots[self.logits_slot]
             .vec()
             .map_err(slot_type("logits", SlotKind::Vec))?
-            .clone();
-        Ok((logits, times))
-    }
-
-    /// Runs inference with per-operator wall-clock timing (panicking
-    /// wrapper over [`CompiledModel::try_infer_profiled`]).
-    ///
-    /// # Panics
-    /// On a malformed request.
-    pub fn infer_profiled(
-        &self,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-    ) -> (Vec<f32>, Vec<(String, Duration)>) {
-        match self.try_infer_profiled(ctx, input) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs a batch of images over the installed rayon pool with
-    /// per-item results: the batch is split into contiguous chunks, each
-    /// worker chunk gets its own [`InferenceContext`], and every image runs
-    /// the serial operator path inside its worker.
-    ///
-    /// **Graceful degradation:** a malformed item (wrong shape, NaN) yields
-    /// its own `Err` without poisoning the rest of the batch — every other
-    /// item's logits are bit-identical to running it through
-    /// [`CompiledModel::try_infer`] serially. As a backstop, a panic inside
-    /// a worker is caught (`catch_unwind`), reported as
-    /// [`BitFlowError::Internal`] for that item only, and the worker's
-    /// session buffers are replaced before the next item runs.
-    pub fn try_infer_batch(&self, inputs: &[Tensor]) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        use rayon::prelude::*;
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = inputs.len().div_ceil(threads).max(1);
-        let telemetry = self.telemetry.get();
-        if let Some(t) = telemetry {
-            t.batch()
-                .batch_started(inputs.len() as u64, inputs.len().div_ceil(chunk) as u64);
-        }
-        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(inputs.len());
-        out.resize_with(inputs.len(), || {
-            Err(BitFlowError::Internal("item not reached".into()))
-        });
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(ci, outs)| {
-                let mut ctx = self.new_context();
-                for (j, o) in outs.iter_mut().enumerate() {
-                    let input = &inputs[ci * chunk + j];
-                    let result = self.catch_fault(|| self.try_infer(&mut ctx, input));
-                    if matches!(result, Err(BitFlowError::Internal(_))) {
-                        // A panic may have left the session buffers
-                        // partially written — replace them so later
-                        // items stay bit-identical to serial runs.
-                        ctx = self.new_context();
-                    }
-                    *o = result;
-                    if let Some(t) = telemetry {
-                        t.batch().item_finished(o.is_ok());
-                    }
-                }
-            });
-        out
-    }
-
-    /// [`CompiledModel::try_infer_batch`] for serving: each item carries
-    /// its own [`CancelToken`] (checked at every operator boundary) and a
-    /// request tag that reaches the installed [`FaultHook`] on whatever
-    /// rayon worker runs the item — so per-request chaos decisions and
-    /// cancellations keep working when requests are coalesced into a
-    /// batch. Per-item results, same graceful degradation and bit-exact
-    /// guarantees as `try_infer_batch`.
-    pub fn try_infer_batch_cancellable(
-        &self,
-        items: &[BatchItem<'_>],
-    ) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        use rayon::prelude::*;
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = items.len().div_ceil(threads).max(1);
-        let telemetry = self.telemetry.get();
-        if let Some(t) = telemetry {
-            t.batch()
-                .batch_started(items.len() as u64, items.len().div_ceil(chunk) as u64);
-        }
-        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), || {
-            Err(BitFlowError::Internal("item not reached".into()))
-        });
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(ci, outs)| {
-                let mut ctx = self.new_context();
-                for (j, o) in outs.iter_mut().enumerate() {
-                    let item = &items[ci * chunk + j];
-                    let result = self.catch_fault(|| {
-                        // Guards inside the catch: a panicking hook unwinds
-                        // through the guards' Drops, restoring the tag and
-                        // trace before the next item runs on this worker.
-                        let _tag = enter_infer_tag(item.tag);
-                        let _trace = item
-                            .trace
-                            .as_ref()
-                            .map(|tb| enter_trace_scope(Arc::clone(tb)));
-                        self.try_infer_cancellable(&mut ctx, item.input, item.cancel)
-                    });
-                    if matches!(result, Err(BitFlowError::Internal(_))) {
-                        ctx = self.new_context();
-                    }
-                    *o = result;
-                    if let Some(t) = telemetry {
-                        t.batch().item_finished(o.is_ok());
-                    }
-                }
-            });
-        out
-    }
-
-    /// Runs `f`, converting any panic into a typed
-    /// [`BitFlowError::Internal`] whose message names the operator that
-    /// was executing when the panic unwound (tracked in a thread-local the
-    /// operator dispatch maintains). The backstop behind
-    /// [`CompiledModel::try_infer_batch`] and the `bitflow-serve` workers.
-    ///
-    /// After a caught panic the [`InferenceContext`] that was running may
-    /// hold partially-written buffers; replace it (cheap — a handful of
-    /// zeroed allocations) before reusing it for bit-exact results.
-    pub fn catch_fault<R>(
-        &self,
-        f: impl FnOnce() -> Result<R, BitFlowError>,
-    ) -> Result<R, BitFlowError> {
-        CURRENT_OP.with(|c| c.set(usize::MAX));
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(result) => result,
-            Err(payload) => {
-                // `&*payload`, not `&payload`: the latter would unsize the
-                // `Box` itself into the `dyn Any` and every downcast of
-                // the actual message would miss.
-                let msg = panic_message(&*payload);
-                let ctxd = match CURRENT_OP.with(Cell::get) {
-                    usize::MAX => msg,
-                    i => match self.ops.get(i) {
-                        Some(op) => format!("operator `{}` (#{i}): {msg}", op.name()),
-                        None => msg,
-                    },
-                };
-                CURRENT_OP.with(|c| c.set(usize::MAX));
-                Err(BitFlowError::Internal(ctxd))
-            }
-        }
+            .clone())
     }
 
     /// Installs a [`FaultHook`] called at every operator boundary (chaos
@@ -1239,24 +1087,6 @@ impl CompiledModel {
     /// Whether a fault hook is installed.
     pub fn fault_hook_installed(&self) -> bool {
         self.fault_hook.get().is_some()
-    }
-
-    /// Runs a batch of images over the installed rayon pool (panicking
-    /// wrapper over [`CompiledModel::try_infer_batch`]). Images are
-    /// independent, so the output is bit-identical to calling
-    /// [`CompiledModel::infer`] on each input in order with a single
-    /// context.
-    ///
-    /// # Panics
-    /// If any item is a malformed request.
-    pub fn infer_batch(&self, inputs: &[Tensor]) -> Vec<Vec<f32>> {
-        self.try_infer_batch(inputs)
-            .into_iter()
-            .map(|r| match r {
-                Ok(logits) => logits,
-                Err(e) => panic!("{e}"),
-            })
-            .collect()
     }
 
     fn run_op(
@@ -1424,98 +1254,6 @@ impl CompiledModel {
             }
         }
         Ok(())
-    }
-}
-
-/// Single-session convenience engine: one [`CompiledModel`] plus one
-/// [`InferenceContext`], presenting the original owned `compile`/`infer`
-/// API. For concurrent serving, use [`Network::into_model`] (or compile a
-/// [`CompiledModel`] directly), wrap it in an `Arc`, and give each thread
-/// its own context.
-pub struct Network {
-    model: CompiledModel,
-    ctx: InferenceContext,
-    /// Use the multi-threaded operator variants (over the installed rayon
-    /// pool). Results are bit-identical either way.
-    pub parallel: bool,
-}
-
-impl Network {
-    /// Compiles a spec + weights into a ready single-session engine.
-    ///
-    /// # Panics
-    /// See [`CompiledModel::compile`].
-    pub fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Self {
-        let model = CompiledModel::compile(spec, weights);
-        let ctx = model.new_context();
-        Self {
-            model,
-            ctx,
-            parallel: false,
-        }
-    }
-
-    /// Fallible variant of [`Network::compile`]: validates the spec and
-    /// the spec/weight agreement, returning a typed error instead of
-    /// panicking.
-    pub fn try_compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Result<Self, BitFlowError> {
-        let model = CompiledModel::try_compile(spec, weights)?;
-        let ctx = model.new_context();
-        Ok(Self {
-            model,
-            ctx,
-            parallel: false,
-        })
-    }
-
-    /// The shared, immutable half of this engine.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// Extracts the compiled model (dropping this session's buffers), e.g.
-    /// to wrap it in an `Arc` for concurrent serving.
-    pub fn into_model(self) -> CompiledModel {
-        self.model
-    }
-
-    /// The spec this engine was compiled from.
-    pub fn spec(&self) -> &NetworkSpec {
-        self.model.spec()
-    }
-
-    /// Float model size in bytes (what a full-precision network ships).
-    pub fn float_model_bytes(&self) -> usize {
-        self.model.float_model_bytes()
-    }
-
-    /// Packed model size in bytes (what this engine holds) — Table V.
-    pub fn packed_model_bytes(&self) -> usize {
-        self.model.packed_model_bytes()
-    }
-
-    /// Total pre-allocated activation/scratch memory in bytes.
-    pub fn activation_bytes(&self) -> usize {
-        self.ctx.activation_bytes()
-    }
-
-    /// Runs inference; returns the logits. Allocation-free after compile.
-    pub fn infer(&mut self, input: &Tensor) -> Vec<f32> {
-        self.ctx.parallel = self.parallel;
-        self.model.infer(&mut self.ctx, input)
-    }
-
-    /// Fallible variant of [`Network::infer`]: malformed requests come
-    /// back as a typed [`BitFlowError`] instead of a panic.
-    pub fn try_infer(&mut self, input: &Tensor) -> Result<Vec<f32>, BitFlowError> {
-        self.ctx.parallel = self.parallel;
-        self.model.try_infer(&mut self.ctx, input)
-    }
-
-    /// Runs inference with per-operator wall-clock timing.
-    pub fn infer_profiled(&mut self, input: &Tensor) -> (Vec<f32>, Vec<(String, Duration)>) {
-        self.ctx.parallel = self.parallel;
-        self.model.infer_profiled(&mut self.ctx, input)
     }
 }
 
@@ -1826,11 +1564,19 @@ mod tests {
         (spec, weights, input)
     }
 
+    fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> CompiledModel {
+        CompiledModel::try_compile(spec, weights).expect("compile")
+    }
+
+    fn infer(model: &CompiledModel, ctx: &mut InferenceContext, input: &Tensor) -> Vec<f32> {
+        model.try_infer(ctx, input).expect("infer")
+    }
+
     #[test]
     fn compile_and_infer() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let logits = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let logits = infer(&model, &mut model.new_context(), &input);
         assert_eq!(logits.len(), 10);
         assert!(logits.iter().all(|x| x.is_finite()));
     }
@@ -1838,28 +1584,33 @@ mod tests {
     #[test]
     fn inference_is_deterministic_and_repeatable() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let a = net.infer(&input);
-        let b = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let mut ctx = model.new_context();
+        let a = infer(&model, &mut ctx, &input);
+        let b = infer(&model, &mut ctx, &input);
         assert_eq!(a, b, "second inference over reused buffers must agree");
     }
 
     #[test]
     fn parallel_matches_serial_bit_exactly() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let serial = net.infer(&input);
-        net.parallel = true;
-        let parallel = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let mut ctx = model.new_context();
+        let serial = infer(&model, &mut ctx, &input);
+        ctx.parallel = true;
+        let parallel = infer(&model, &mut ctx, &input);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn profiled_matches_plain() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let plain = net.infer(&input);
-        let (profiled, times) = net.infer_profiled(&input);
+        let model = compile(&spec, &weights);
+        let mut ctx = model.new_context();
+        let plain = infer(&model, &mut ctx, &input);
+        let (profiled, times) = model
+            .try_infer_profiled(&mut ctx, &input)
+            .expect("profiled");
         assert_eq!(plain, profiled);
         // input binarize + conv + pool + flatten (32-channel non-aligned
         // flatten inserts a repack op) + fc.
@@ -1873,8 +1624,8 @@ mod tests {
     fn engine_matches_direct_op_chain() {
         // Hand-execute the same small network with the raw ops and compare.
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let got = infer(&model, &mut model.new_context(), &input);
 
         use bitflow_ops::binary::{
             binarize_pack_padded, binary_fc, binary_max_pool, pressed_conv, BinaryFcWeights,
@@ -1917,54 +1668,43 @@ mod tests {
     #[test]
     fn model_size_accounting() {
         let (spec, weights, _) = setup();
-        let net = Network::compile(&spec, &weights);
-        assert_eq!(net.float_model_bytes(), weights.float_bytes());
-        assert_eq!(net.packed_model_bytes(), weights.packed_bytes());
-        assert!(net.activation_bytes() > 0);
+        let model = compile(&spec, &weights);
+        assert_eq!(model.float_model_bytes(), weights.float_bytes());
+        assert_eq!(model.packed_model_bytes(), weights.packed_bytes());
+        assert!(model.context_bytes() > 0);
     }
 
     #[test]
     fn rejects_wrong_input_shape() {
         let (spec, weights, _) = setup();
-        let mut net = Network::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut rng = StdRng::seed_from_u64(9);
         let bad = Tensor::random(Shape::hwc(4, 4, 3), Layout::Nhwc, &mut rng);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.infer(&bad);
-        }));
-        assert!(result.is_err());
+        assert!(matches!(
+            model.try_infer(&mut model.new_context(), &bad),
+            Err(BitFlowError::InputGeometry(
+                InputGeometry::ShapeMismatch { .. }
+            ))
+        ));
     }
 
     #[test]
-    fn model_context_split_matches_wrapper() {
+    fn contexts_are_independent() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let want = net.infer(&input);
-
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut a = model.new_context();
         let mut b = model.new_context();
-        assert_eq!(model.infer(&mut a, &input), want);
-        assert_eq!(model.infer(&mut b, &input), want);
-        // Contexts stay independent: running one again changes nothing.
-        assert_eq!(model.infer(&mut a, &input), want);
-        assert_eq!(model.context_bytes(), net.activation_bytes());
-    }
-
-    #[test]
-    fn into_model_keeps_compiled_state() {
-        let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let want = net.infer(&input);
-        let model = std::sync::Arc::new(net.into_model());
-        let mut ctx = model.new_context();
-        assert_eq!(model.infer(&mut ctx, &input), want);
+        let want = infer(&model, &mut a, &input);
+        assert_eq!(infer(&model, &mut b, &input), want);
+        // Running one again changes nothing.
+        assert_eq!(infer(&model, &mut a, &input), want);
+        assert_eq!(model.context_bytes(), a.activation_bytes());
     }
 
     #[test]
     fn infer_batch_bit_identical_to_serial() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut rng = StdRng::seed_from_u64(13);
         let inputs: Vec<Tensor> = (0..7)
             .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
@@ -1972,27 +1712,30 @@ mod tests {
         let mut ctx = model.new_context();
         let serial: Vec<Vec<f32>> = inputs
             .iter()
-            .map(|img| model.infer(&mut ctx, img))
+            .map(|img| infer(&model, &mut ctx, img))
             .collect();
         for threads in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let batch = pool.install(|| model.infer_batch(&inputs));
+            let batch: Vec<Vec<f32>> = pool
+                .install(|| model.try_infer_batch(&inputs))
+                .into_iter()
+                .map(|r| r.expect("batch item"))
+                .collect();
             assert_eq!(batch, serial, "threads={threads}");
         }
-        assert!(model.infer_batch(&[]).is_empty());
+        assert!(model.try_infer_batch(&[]).is_empty());
     }
 
     #[test]
     fn telemetry_disabled_by_default() {
         let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         assert!(model.telemetry().is_none());
         assert!(model.metrics_snapshot().is_none());
-        let mut ctx = model.new_context();
-        model.infer(&mut ctx, &input);
+        infer(&model, &mut model.new_context(), &input);
         assert!(
             model.metrics_snapshot().is_none(),
             "inference must not enable it"
@@ -2002,13 +1745,13 @@ mod tests {
     #[test]
     fn telemetry_counts_ops_and_derives_rates() {
         let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut ctx = model.new_context();
-        let before = model.infer(&mut ctx, &input);
+        let before = infer(&model, &mut ctx, &input);
         model.enable_telemetry();
-        let after = model.infer(&mut ctx, &input);
+        let after = infer(&model, &mut ctx, &input);
         assert_eq!(before, after, "telemetry must not change logits");
-        model.infer(&mut ctx, &input);
+        infer(&model, &mut ctx, &input);
 
         let snap = model.metrics_snapshot().expect("enabled");
         assert_eq!(snap.model, spec.name);
@@ -2037,7 +1780,7 @@ mod tests {
     #[test]
     fn telemetry_batch_gauges() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         model.enable_telemetry();
         let mut rng = StdRng::seed_from_u64(21);
         let mut inputs: Vec<Tensor> = (0..5)
@@ -2056,40 +1799,45 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_ring_sink_traces_requests() {
+    fn profiled_run_feeds_telemetry_and_trace() {
+        // The profile is one more observer of the same op loop: a profiled
+        // run still counts in telemetry and still lands in the trace scope.
         let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let sink = std::sync::Arc::new(bitflow_telemetry::RingSink::new(8));
-        struct Fwd(std::sync::Arc<bitflow_telemetry::RingSink>);
-        impl SpanSink for Fwd {
-            fn record(&self, trace: &RequestTrace) {
-                self.0.record(trace);
-            }
-        }
-        model.enable_telemetry_with_sink(Box::new(Fwd(sink.clone())));
+        let model = compile(&spec, &weights);
+        let telemetry = model.enable_telemetry();
         let mut ctx = model.new_context();
-        model.infer(&mut ctx, &input);
-        model.infer(&mut ctx, &input);
-        let traces = sink.drain();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].request_id, 0);
-        assert_eq!(traces[1].request_id, 1);
-        for t in &traces {
-            assert_eq!(t.spans.len(), spec.layers.len() + 2);
-            assert_eq!(t.spans[0].name, "binarize-input");
-            assert!(t.total_ns >= t.spans.iter().map(|s| s.duration_ns).sum::<u64>() / 2);
+        infer(&model, &mut ctx, &input);
+        let calls = |t: &ModelTelemetry| -> Vec<u64> {
+            t.snapshot().ops.iter().map(|op| op.calls).collect()
+        };
+        let before = calls(&telemetry);
+        let tb = Arc::new(TraceBuilder::new("req-profiled"));
+        let times = {
+            let _scope = enter_trace_scope(Arc::clone(&tb));
+            model
+                .try_infer_profiled(&mut ctx, &input)
+                .expect("profiled")
+                .1
+        };
+        let after = calls(&telemetry);
+        assert_eq!(after.len(), times.len());
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(a - b, 1, "op {} must be counted once", times[i].0);
         }
+        let trace = tb.finish();
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        let want: Vec<&str> = times.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, want, "one op span per op, in order");
     }
 
     #[test]
     fn trace_scope_collects_op_spans_without_telemetry() {
         let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let tb = Arc::new(bitflow_telemetry::TraceBuilder::new("req-a"));
+        let model = compile(&spec, &weights);
+        let tb = Arc::new(TraceBuilder::new("req-a"));
         {
             let _scope = enter_trace_scope(Arc::clone(&tb));
-            let mut ctx = model.new_context();
-            model.infer(&mut ctx, &input);
+            infer(&model, &mut model.new_context(), &input);
         }
         assert!(current_trace().is_none(), "guard restores the empty scope");
         let trace = tb.finish();
@@ -2104,32 +1852,62 @@ mod tests {
     }
 
     #[test]
+    fn untagged_untraced_serve_keeps_the_outer_scope() {
+        let (spec, weights, input) = setup();
+        let model = compile(&spec, &weights);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        assert!(model.install_fault_hook(Arc::new(move |_, _, tag| {
+            sink.lock().expect("hook lock").push(tag);
+        })));
+        let tb = Arc::new(TraceBuilder::new("outer"));
+        let none = CancelToken::none();
+        {
+            let _tag = enter_infer_tag(42);
+            let _scope = enter_trace_scope(Arc::clone(&tb));
+            let request = InferRequest {
+                input: &input,
+                cancel: &none,
+                tag: UNTAGGED,
+                trace: None,
+            };
+            model
+                .try_serve(&mut model.new_context(), &request)
+                .expect("serve");
+            assert!(current_trace().is_some(), "outer trace scope survives");
+        }
+        assert_eq!(tb.finish().spans.len(), spec.layers.len() + 2);
+        let tags = seen.lock().expect("lock");
+        assert!(tags.iter().all(|&t| t == 42), "outer tag reaches the hook");
+    }
+
+    #[test]
     fn batch_items_carry_their_traces_onto_workers() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        // Telemetry on: op spans flow through `run_ops_recorded`, which
-        // must re-base them onto each trace's own origin.
+        let model = compile(&spec, &weights);
+        // Telemetry on: op spans must land in each request's own trace
+        // alongside the telemetry record.
         model.enable_telemetry();
         let mut rng = StdRng::seed_from_u64(23);
         let inputs: Vec<Tensor> = (0..4)
             .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
             .collect();
-        let builders: Vec<Arc<bitflow_telemetry::TraceBuilder>> = (0..4)
-            .map(|i| Arc::new(bitflow_telemetry::TraceBuilder::new(format!("req-{i}"))))
+        let builders: Vec<Arc<TraceBuilder>> = (0..4)
+            .map(|i| Arc::new(TraceBuilder::new(format!("req-{i}"))))
             .collect();
         let none = CancelToken::none();
-        let items: Vec<BatchItem<'_>> = inputs
+        let requests: Vec<InferRequest<'_>> = inputs
             .iter()
             .zip(&builders)
             .enumerate()
-            .map(|(i, (input, tb))| BatchItem {
+            .map(|(i, (input, tb))| InferRequest {
                 input,
                 cancel: &none,
                 tag: i as u64,
                 trace: Some(Arc::clone(tb)),
             })
             .collect();
-        let results = model.try_infer_batch_cancellable(&items);
+        let results = model.try_serve_batch(&requests);
         assert!(results.iter().all(Result::is_ok));
         for (i, tb) in builders.iter().enumerate() {
             let trace = tb.finish();
@@ -2146,19 +1924,16 @@ mod tests {
     #[test]
     fn enable_telemetry_is_idempotent() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let a = model.enable_telemetry();
         let b = model.enable_telemetry();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        // A later with_sink call cannot replace the live handle.
-        let c = model.enable_telemetry_with_sink(Box::new(bitflow_telemetry::NoopSink));
-        assert!(std::sync::Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
-    fn batch_cancellable_matches_serial_and_honours_tokens() {
+    fn serve_batch_matches_serial_and_honours_tokens() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut rng = StdRng::seed_from_u64(17);
         let inputs: Vec<Tensor> = (0..6)
             .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
@@ -2166,22 +1941,22 @@ mod tests {
         let mut ctx = model.new_context();
         let serial: Vec<Vec<f32>> = inputs
             .iter()
-            .map(|img| model.infer(&mut ctx, img))
+            .map(|img| infer(&model, &mut ctx, img))
             .collect();
         let tokens: Vec<CancelToken> = (0..6).map(|_| CancelToken::new()).collect();
         tokens[3].cancel();
-        let items: Vec<BatchItem<'_>> = inputs
+        let requests: Vec<InferRequest<'_>> = inputs
             .iter()
             .zip(&tokens)
             .enumerate()
-            .map(|(i, (input, cancel))| BatchItem {
+            .map(|(i, (input, cancel))| InferRequest {
                 input,
                 cancel,
                 tag: i as u64,
                 trace: None,
             })
             .collect();
-        let results = model.try_infer_batch_cancellable(&items);
+        let results = model.try_serve_batch(&requests);
         for (i, r) in results.iter().enumerate() {
             if i == 3 {
                 assert!(
@@ -2196,13 +1971,13 @@ mod tests {
                 );
             }
         }
-        assert!(model.try_infer_batch_cancellable(&[]).is_empty());
+        assert!(model.try_serve_batch(&[]).is_empty());
     }
 
     #[test]
     fn batch_items_report_their_tags_to_fault_hooks() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let seen = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
         let sink = Arc::clone(&seen);
         assert!(model.install_fault_hook(Arc::new(move |_, _, tag| {
@@ -2213,17 +1988,17 @@ mod tests {
             .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
             .collect();
         let none = CancelToken::none();
-        let items: Vec<BatchItem<'_>> = inputs
+        let requests: Vec<InferRequest<'_>> = inputs
             .iter()
             .enumerate()
-            .map(|(i, input)| BatchItem {
+            .map(|(i, input)| InferRequest {
                 input,
                 cancel: &none,
                 tag: 100 + i as u64,
                 trace: None,
             })
             .collect();
-        let results = model.try_infer_batch_cancellable(&items);
+        let results = model.try_serve_batch(&requests);
         assert!(results.iter().all(Result::is_ok));
         {
             // Scoped: the hook locks this same mutex on this thread during
@@ -2239,9 +2014,8 @@ mod tests {
             }
         }
         // Untagged inference reports UNTAGGED, not a stale batch tag.
-        let mut ctx = model.new_context();
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        model.infer(&mut ctx, &input);
+        infer(&model, &mut model.new_context(), &input);
         assert!(seen.lock().expect("lock").contains(&UNTAGGED));
     }
 
@@ -2269,8 +2043,8 @@ mod tests {
             }
         }
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let got = infer(&model, &mut model.new_context(), &input);
 
         // Hand-executed chain with explicit BN: y = γ·(x−μ)/√(σ²+ε) + β,
         // bit = y ≥ 0 — no folding anywhere.
@@ -2313,7 +2087,8 @@ mod tests {
                 bn.eps = 1e-5;
             }
         }
-        let old_logits = Network::compile(&spec, &old).infer(&input);
+        let old_model = compile(&spec, &old);
+        let old_logits = infer(&old_model, &mut old_model.new_context(), &input);
         assert_ne!(
             got, old_logits,
             "folding with the default ε must be observable on this model \
@@ -2324,10 +2099,19 @@ mod tests {
     #[test]
     fn random_inputs_give_varied_logits() {
         let (spec, weights, _) = setup();
-        let mut net = Network::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
+        let mut ctx = model.new_context();
         let mut rng = StdRng::seed_from_u64(11);
-        let a = net.infer(&Tensor::random(spec.input, Layout::Nhwc, &mut rng));
-        let b = net.infer(&Tensor::random(spec.input, Layout::Nhwc, &mut rng));
+        let a = infer(
+            &model,
+            &mut ctx,
+            &Tensor::random(spec.input, Layout::Nhwc, &mut rng),
+        );
+        let b = infer(
+            &model,
+            &mut ctx,
+            &Tensor::random(spec.input, Layout::Nhwc, &mut rng),
+        );
         assert_ne!(a, b, "different inputs should give different logits");
     }
 }

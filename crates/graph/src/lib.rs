@@ -7,10 +7,12 @@
 //!
 //! * **Weight pre-binarization**: weights are constant during inference, so
 //!   binarization + bit-packing (+ the fused transposition of Table III)
-//!   happen once in [`engine::Network::compile`], never on the hot path.
+//!   happen once in [`engine::CompiledModel::try_compile`], never on the
+//!   hot path.
 //! * **Memory pre-allocation**: every activation, scratch and output buffer
 //!   is sized by static shape inference over the graph and allocated at
-//!   compile time; [`engine::Network::infer`] performs no allocation.
+//!   compile time; [`engine::CompiledModel::try_infer`] allocates nothing
+//!   but the returned logits.
 //! * **Zero-cost padding** (paper Fig. 5): each layer's output buffer is
 //!   allocated at the *padded* size required by its consumer, pre-zeroed;
 //!   producers write only the interior, so the next convolution reads a
@@ -27,12 +29,11 @@
 //! ## Robustness contract
 //!
 //! The serving path is panic-free end to end: [`spec::NetworkSpec::validate`]
-//! → [`engine::CompiledModel::try_compile`] →
-//! [`engine::CompiledModel::try_infer`] /
-//! [`engine::CompiledModel::try_infer_batch`] report every failure as a
-//! typed [`error::BitFlowError`]. The panicking `compile`/`infer` APIs are
-//! thin wrappers over the `try_` variants for trusted callers (tests,
-//! benches, examples).
+//! → [`engine::CompiledModel::try_compile`] → the engine's inference calls
+//! ([`engine::CompiledModel::try_infer`], `try_infer_profiled`,
+//! `try_infer_batch`, and the serving calls `try_serve` /
+//! `try_serve_batch`) report every failure as a typed
+//! [`error::BitFlowError`].
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cancel;
@@ -46,14 +47,14 @@ pub mod weights;
 
 pub use cancel::CancelToken;
 pub use engine::{
-    current_trace, enter_infer_tag, enter_trace_scope, BatchItem, CompiledModel, FaultHook,
-    FloatNetwork, InferTagGuard, InferenceContext, Network, TraceScopeGuard, UNTAGGED,
+    current_trace, enter_infer_tag, enter_trace_scope, CompiledModel, FaultHook, FloatNetwork,
+    InferRequest, InferTagGuard, InferenceContext, TraceScopeGuard, UNTAGGED,
 };
 pub use error::{
     BitFlowError, InputGeometry, RejectReason, SlotKind, SlotTypeError, SpecError, WeightMismatch,
 };
 pub use model_io::{load_model, save_model, ModelIoError};
 pub use models::{small_cnn, vgg16, vgg19};
-pub use plan::{fuse_enabled_from, ExecPlan, MemoryPlan, PlanNode, PlanOptions};
+pub use plan::{ExecPlan, MemoryPlan, PlanNode, PlanOptions};
 pub use spec::{LayerSpec, NetworkSpec};
 pub use weights::{BnParams, LayerWeights, NetworkWeights, DEFAULT_BN_EPS};

@@ -436,8 +436,12 @@ mod tests {
         // Same logits from both engines.
         use bitflow_tensor::{Layout, Tensor};
         let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let a = crate::engine::Network::compile(&spec, &weights).infer(&img);
-        let b = crate::engine::Network::compile(&spec2, &weights2).infer(&img);
+        let infer = |spec, weights| {
+            let model = crate::engine::CompiledModel::try_compile(spec, weights).unwrap();
+            model.try_infer(&mut model.new_context(), &img).unwrap()
+        };
+        let a = infer(&spec, &weights);
+        let b = infer(&spec2, &weights2);
         assert_eq!(a, b);
     }
 

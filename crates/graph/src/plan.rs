@@ -41,34 +41,12 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// Options honoring the `BITFLOW_FUSE` environment variable
-    /// (`0`/`false`/`off`/`no` disable fusion; anything else, or unset,
-    /// enables it).
-    pub fn from_env() -> Self {
-        Self {
-            fuse: fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()),
-            ..Self::default()
-        }
-    }
-
-    /// The unfused reference plan (equivalent to `BITFLOW_FUSE=0`).
+    /// The unfused reference plan: the test oracle for the fused one.
     pub fn unfused() -> Self {
         Self {
             fuse: false,
             ..Self::default()
         }
-    }
-}
-
-/// Interprets a `BITFLOW_FUSE` value: unset means fused; only explicit
-/// `0`/`false`/`off`/`no` (case-insensitive) disable it.
-pub fn fuse_enabled_from(v: Option<&str>) -> bool {
-    match v {
-        None => true,
-        Some(s) => !matches!(
-            s.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
     }
 }
 
@@ -268,10 +246,10 @@ pub struct MemoryPlan {
 
 impl MemoryPlan {
     /// Plans the binary engine's buffers for `spec` (mirrors
-    /// [`crate::engine::Network::compile`]'s allocations) under the
-    /// environment's planning options (`BITFLOW_FUSE`).
+    /// [`crate::engine::CompiledModel::try_compile`]'s allocations) under
+    /// the default planning options.
     pub fn for_binary(spec: &NetworkSpec) -> Self {
-        Self::for_binary_with(spec, &PlanOptions::from_env())
+        Self::for_binary_with(spec, &PlanOptions::default())
     }
 
     /// Plans the binary engine's buffers for `spec` under explicit options.
@@ -379,12 +357,12 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(3);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let net = crate::engine::Network::compile(&spec, &weights);
+        let model = crate::engine::CompiledModel::try_compile(&spec, &weights).expect("compile");
         let plan = MemoryPlan::for_binary(&spec);
         // The engine adds a Reflatten packed buffer for the non-aligned
         // flatten; the plan's total must match within that one buffer.
         let flatten_bytes = (4 * 4 * 32usize).div_ceil(64) * 8;
-        assert_eq!(plan.total_bytes() + flatten_bytes, net.activation_bytes());
+        assert_eq!(plan.total_bytes() + flatten_bytes, model.context_bytes());
         assert_eq!(plan.contexts_bytes(3), 3 * plan.total_bytes());
     }
 
@@ -393,7 +371,7 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(4);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::engine::CompiledModel::compile(&spec, &weights);
+        let model = crate::engine::CompiledModel::try_compile(&spec, &weights).expect("compile");
         let a = model.new_context();
         let b = model.new_context();
         assert_eq!(a.activation_bytes(), model.context_bytes());
@@ -421,18 +399,6 @@ mod tests {
         let plan = MemoryPlan::for_binary(&small_cnn());
         let names: Vec<&str> = plan.buffers.iter().map(|b| b.producer.as_str()).collect();
         assert_eq!(names, vec!["input", "conv1", "conv1", "pool1", "fc1"]);
-    }
-
-    #[test]
-    fn fuse_env_parsing() {
-        assert!(fuse_enabled_from(None));
-        assert!(fuse_enabled_from(Some("1")));
-        assert!(fuse_enabled_from(Some("yes")));
-        assert!(fuse_enabled_from(Some("")));
-        assert!(!fuse_enabled_from(Some("0")));
-        assert!(!fuse_enabled_from(Some("false")));
-        assert!(!fuse_enabled_from(Some(" OFF ")));
-        assert!(!fuse_enabled_from(Some("no")));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use bitflow_graph::error::{BitFlowError, InputGeometry, RejectReason, SpecError}
 use bitflow_graph::models::small_cnn;
 use bitflow_graph::spec::{LayerSpec, NetworkSpec};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::{CancelToken, CompiledModel};
+use bitflow_graph::{CancelToken, CompiledModel, InferRequest, UNTAGGED};
 use bitflow_ops::ConvParams;
 use bitflow_tensor::{Layout, Shape, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
@@ -25,6 +25,16 @@ fn compiled() -> (CompiledModel, Tensor) {
         Err(e) => panic!("seed model must compile: {e}"),
     };
     (model, input)
+}
+
+/// An untagged, untraced serving request under `cancel`.
+fn request<'a>(input: &'a Tensor, cancel: &'a CancelToken) -> InferRequest<'a> {
+    InferRequest {
+        input,
+        cancel,
+        tag: UNTAGGED,
+        trace: None,
+    }
 }
 
 fn conv(name: &str, k: usize) -> LayerSpec {
@@ -277,7 +287,7 @@ fn cancellation_is_typed_and_does_not_poison_the_context() {
     let token = CancelToken::new();
     token.cancel();
     let r = catch_unwind(AssertUnwindSafe(|| {
-        model.try_infer_cancellable(&mut ctx, &input, &token)
+        model.try_serve(&mut ctx, &request(&input, &token))
     }));
     match r {
         Ok(Err(BitFlowError::Cancelled)) => {}
@@ -307,7 +317,7 @@ fn deadline_exceeded_is_typed_and_does_not_poison_the_context() {
 
     // Already-expired deadline: rejected at the first checkpoint.
     let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-    match model.try_infer_cancellable(&mut ctx, &input, &expired) {
+    match model.try_serve(&mut ctx, &request(&input, &expired)) {
         Err(BitFlowError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -320,7 +330,7 @@ fn deadline_exceeded_is_typed_and_does_not_poison_the_context() {
         }
     })));
     let tight = CancelToken::with_budget(Duration::from_millis(5));
-    match model.try_infer_cancellable(&mut ctx, &input, &tight) {
+    match model.try_serve(&mut ctx, &request(&input, &tight)) {
         Err(BitFlowError::DeadlineExceeded) => {}
         other => panic!("expected mid-run DeadlineExceeded, got {other:?}"),
     }

@@ -4,7 +4,7 @@
 
 use bitflow_graph::spec::{LayerSpec, NetworkSpec};
 use bitflow_graph::weights::{LayerWeights, NetworkWeights};
-use bitflow_graph::{BitFlowError, CompiledModel, Network};
+use bitflow_graph::{BitFlowError, CompiledModel};
 use bitflow_ops::binary::{
     binarize_pack_padded, binarize_threshold_padded, binary_max_pool, pressed_conv, BinaryFcWeights,
 };
@@ -199,19 +199,20 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let model = CompiledModel::try_compile(&spec, &weights).unwrap();
+        let mut ctx = model.new_context();
+        let got = model.try_infer(&mut ctx, &input).unwrap();
         let want = interpret(&spec, &weights, &input);
         // The interpreter's FC path emits ±1 for hidden layers and counts
         // for the head; the engine's logits are counts — same thing.
         prop_assert_eq!(got, want);
 
         // And the parallel path agrees.
-        net.parallel = true;
-        let par = net.infer(&input);
+        ctx.parallel = true;
+        let par = model.try_infer(&mut ctx, &input).unwrap();
         let serial = {
-            net.parallel = false;
-            net.infer(&input)
+            ctx.parallel = false;
+            model.try_infer(&mut ctx, &input).unwrap()
         };
         prop_assert_eq!(par, serial);
     }

@@ -33,10 +33,10 @@ fn stack(cfg: NetConfig) -> Stack {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = Arc::new(CompiledModel::compile(&spec, &weights));
+    let model = Arc::new(CompiledModel::try_compile(&spec, &weights).expect("compile"));
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let mut ctx = model.new_context();
-    let oracle = model.infer(&mut ctx, &input);
+    let oracle = model.try_infer(&mut ctx, &input).expect("infer");
     let server = Arc::new(Server::start(
         Arc::clone(&model),
         ServerConfig {

@@ -11,7 +11,7 @@
 //! * **Per-(request, operator)** — decided inside the engine via the
 //!   model's fault hook: an operator either sleeps ([`ChaosConfig::slow`])
 //!   or panics. The hook keys its decisions on the engine's per-request
-//!   tag ([`bitflow_graph::enter_infer_tag`]), which the serving worker
+//!   tag ([`bitflow_graph::InferRequest::tag`]), which the serving worker
 //!   sets to the request id — including inside coalesced micro-batches,
 //!   where inference runs on rayon threads a serve-side thread-local
 //!   could never reach. Untagged inference (oracles, tests, direct

@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bitflow_graph::engine::InferenceContext;
-use bitflow_graph::{BatchItem, BitFlowError, CancelToken, CompiledModel, RejectReason};
+use bitflow_graph::{BitFlowError, CancelToken, CompiledModel, InferRequest, RejectReason};
 use bitflow_telemetry::{FlightRecorder, ServeSnapshot, Stage, TraceBuilder};
 use bitflow_tensor::Tensor;
 
@@ -174,6 +174,19 @@ struct Request {
     /// The governor's byte charge for this request's payload, released
     /// (by drop) when the request resolves — whatever path resolves it.
     _lease: Option<MemoryLease>,
+}
+
+impl Request {
+    /// The engine's view of this request: input, cancel token, the tag
+    /// chaos hooks key on, and the trace its operator spans go to.
+    fn infer_request(&self) -> InferRequest<'_> {
+        InferRequest {
+            input: &self.input,
+            cancel: &self.token,
+            tag: self.id,
+            trace: self.trace.as_ref().map(|t| Arc::clone(&t.tb)),
+        }
+    }
 }
 
 struct QueueState {
@@ -1165,14 +1178,7 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
                 }
             };
             let t0 = Instant::now();
-            let result = req.model.catch_fault(|| {
-                let _tag = bitflow_graph::enter_infer_tag(req.id);
-                let _trace = req
-                    .trace
-                    .as_ref()
-                    .map(|t| bitflow_graph::enter_trace_scope(Arc::clone(&t.tb)));
-                req.model.try_infer_cancellable(ctx, &req.input, &req.token)
-            });
+            let result = req.model.try_serve(ctx, &req.infer_request());
             let t1 = Instant::now();
             req.entry
                 .counters()
@@ -1188,20 +1194,12 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
             account(shared, req, result);
         }
     } else {
-        let items: Vec<BatchItem<'_>> = live
-            .iter()
-            .map(|r| BatchItem {
-                input: &r.input,
-                cancel: &r.token,
-                tag: r.id,
-                trace: r.trace.as_ref().map(|t| Arc::clone(&t.tb)),
-            })
-            .collect();
+        let requests: Vec<InferRequest<'_>> = live.iter().map(Request::infer_request).collect();
         // Batch inference runs each chunk on its own fresh context, so a
         // panic in one item never poisons another's result — and the
         // worker's cached context is untouched.
         let t0 = Instant::now();
-        let results = head.model.try_infer_batch_cancellable(&items);
+        let results = head.model.try_serve_batch(&requests);
         let t1 = Instant::now();
         // Items run concurrently inside the engine call, so per-request
         // exec is the whole batch's span; the operator spans inside the

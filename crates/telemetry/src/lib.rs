@@ -10,15 +10,12 @@
 //!   per-operator call counts, latency histograms (p50/p95/p99), a static
 //!   cost model (bit-ops, bytes moved, bgemm tile shape) from which GOPS
 //!   and bandwidth are derived at snapshot time, and batch-queue gauges.
-//! * [`SpanSink`] — pluggable per-request trace destination. The default
-//!   [`NoopSink`] reports `enabled() == false`, so the engine never builds
-//!   a [`RequestTrace`]; [`RingSink`] keeps the last N traces in memory;
-//!   [`JsonLinesSink`] streams one JSON object per request.
 //! * [`MetricsSnapshot`] — a plain-data, `serde`-serializable copy of every
 //!   counter, written by the bench bins to `results/telemetry.json`.
-//! * [`TraceBuilder`] / [`FlightRecorder`] — request-scoped lifecycle
-//!   tracing across net → serve → engine, with tail-based sampling (every
-//!   error plus the slowest N per window) under a hard byte budget, and
+//! * [`TraceBuilder`] / [`FlightRecorder`] — the one trace pipeline:
+//!   request-scoped lifecycle tracing across net → serve → engine into a
+//!   [`RequestTrace`], with tail-based sampling (every error plus the
+//!   slowest N per window) under a hard byte budget, and
 //!   [`to_chrome_trace`] to export retained traces for Perfetto.
 //!
 //! ## Overhead contract
@@ -28,8 +25,7 @@
 //! recording one operator costs an `Instant` pair plus four relaxed
 //! `fetch_add`s — no locks, no allocation — which keeps the measured
 //! end-to-end overhead below 3% on the Table IV workloads. Request traces
-//! allocate, but only when the installed sink asks for them
-//! ([`SpanSink::enabled`]).
+//! allocate, but only for requests that carry a [`TraceBuilder`].
 
 mod chrome;
 mod hist;
@@ -52,7 +48,4 @@ pub use snapshot::{
     OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
     SCHEMA_VERSION,
 };
-pub use span::{
-    JsonLinesSink, NoopSink, OpSpan, RequestTrace, RingSink, SpanSink, Stage, StageSpan,
-    TraceBuilder,
-};
+pub use span::{OpSpan, RequestTrace, Stage, StageSpan, TraceBuilder};

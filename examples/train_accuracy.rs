@@ -55,11 +55,12 @@ fn main() {
 
     println!("\n[3/3] exporting to the BitFlow engine and re-evaluating…");
     let (spec, weights) = export(&bin_model);
-    let mut engine = Network::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile exported model");
+    let mut ctx = model.new_context();
     let mut correct = 0;
     for i in 0..test.len() {
         let img = Tensor::from_vec(test.image(i).to_vec(), spec.input, Layout::Nhwc);
-        let logits = engine.infer(&img);
+        let logits = model.try_infer(&mut ctx, &img).expect("infer");
         let pred = logits
             .iter()
             .enumerate()
@@ -82,7 +83,7 @@ fn main() {
     );
     println!(
         "\nmodel size through the engine: {:.1} KiB float -> {:.1} KiB packed",
-        engine.float_model_bytes() as f64 / 1024.0,
-        engine.packed_model_bytes() as f64 / 1024.0
+        model.float_model_bytes() as f64 / 1024.0,
+        model.packed_model_bytes() as f64 / 1024.0
     );
 }

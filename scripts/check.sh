@@ -2,7 +2,8 @@
 # One-command gate for PRs: formatting, lints, and the tier-1 tests.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the release build (lints + debug tests)
+#   scripts/check.sh --fast   # skip the release builds of the workspace and
+#                             # of perfbench/ (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), the chaos
@@ -68,14 +69,15 @@ cargo clippy -p bitflow-telemetry --all-targets -- -D warnings
 if [[ $fast -eq 0 ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --release
+    echo "==> benchmark crate builds against the engine API it calls"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test -q (tier-1: root suite incl. differential/golden/no-alloc harnesses)"
 cargo test -q
 
-echo "==> fusion gate: fused-vs-unfused differential + BITFLOW_FUSE=0 golden replay"
+echo "==> fusion gate: fused-vs-unfused differential (goldens pin both plans)"
 cargo test -q --test fusion_differential
-BITFLOW_FUSE=0 cargo test -q --test golden_snapshot --test fusion_differential
 
 echo "==> BITFLOW_BENCH_QUICK=1 cargo test -q --workspace (all crates, bench in quick mode)"
 BITFLOW_BENCH_QUICK=1 cargo test -q --workspace

@@ -70,14 +70,17 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs: Vec<Tensor> = (0..DISTINCT_INPUTS)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    (Arc::new(CompiledModel::compile(&spec, &weights)), inputs)
+    (
+        Arc::new(CompiledModel::try_compile(&spec, &weights).expect("compile")),
+        inputs,
+    )
 }
 
 fn compiled_model_only(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    Arc::new(CompiledModel::compile(&spec, &weights))
+    Arc::new(CompiledModel::try_compile(&spec, &weights).expect("compile"))
 }
 
 /// Allocation-failure chaos only: no panics (so `worker_panics` must stay
@@ -155,11 +158,11 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
     let mut ctx_lo = model_lo.new_context();
     let oracle_hi: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_hi.infer(&mut ctx_hi, i))
+        .map(|i| model_hi.try_infer(&mut ctx_hi, i).expect("infer"))
         .collect();
     let oracle_lo: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_lo.infer(&mut ctx_lo, i))
+        .map(|i| model_lo.try_infer(&mut ctx_lo, i).expect("infer"))
         .collect();
 
     let mut registry = ModelRegistry::new();
@@ -334,7 +337,9 @@ fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
     let (model_hi, inputs) = compiled_small_cnn(42);
     let model_lo = compiled_model_only(7);
     let mut oracle_ctx = model_hi.new_context();
-    let oracle = model_hi.infer(&mut oracle_ctx, &inputs[0]);
+    let oracle = model_hi
+        .try_infer(&mut oracle_ctx, &inputs[0])
+        .expect("infer");
 
     const BUDGET: u64 = 1_000_000_000;
     let mut registry = ModelRegistry::new();

@@ -95,7 +95,7 @@ proptest! {
         let bank = BitFilterBank::from_floats(&weights, fshape);
 
         // Unfused reference: float count map, then the folded float
-        // threshold compare (the exact dataflow `BITFLOW_FUSE=0` runs).
+        // threshold compare (the exact dataflow an unfused plan runs).
         let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
         let want = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 1);
 

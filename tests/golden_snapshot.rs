@@ -44,11 +44,11 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Runs the example recipe: seeded weights, then the image from the same rng.
 fn run_recipe(spec: &NetworkSpec, seed: u64) -> Vec<f32> {
-    run_recipe_with(spec, seed, &PlanOptions::from_env())
+    run_recipe_with(spec, seed, &PlanOptions::default())
 }
 
 /// Same recipe under an explicit plan — lets the suite pin both the fused
-/// (default) and unfused (`BITFLOW_FUSE=0`) dataflows to golden digests.
+/// (default) and unfused dataflows to golden digests.
 fn run_recipe_with(spec: &NetworkSpec, seed: u64, opts: &PlanOptions) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random(spec, &mut rng);
@@ -94,7 +94,7 @@ fn vgg16_logits_reproduce_exactly() {
     check_golden("vgg16", &logits);
 }
 
-/// The unfused (`BITFLOW_FUSE=0`) plan has its own golden rows — and because
+/// The unfused plan has its own golden rows — and because
 /// the fused integer epilogue is bit-identical to the float threshold pass,
 /// they pin the *same* digests as the fused recipes above. A divergence in
 /// either direction (fused drifts, or fusion stops being exact) trips one of
@@ -111,17 +111,25 @@ fn unfused_plan_reproduces_same_goldens() {
 
 #[test]
 fn batch_path_matches_golden_single_path() {
-    // The batch serving path must land on the same logits as the
-    // single-request path for the same recipe.
-    let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(42);
-    let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
-    let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+    // The batch serving path must land on the same logits as the golden
+    // single-request path for the same recipe, under both plans.
+    for opts in [PlanOptions::default(), PlanOptions::unfused()] {
+        let spec = small_cnn();
+        let mut rng = StdRng::seed_from_u64(42);
+        let weights = NetworkWeights::random(&spec, &mut rng);
+        let model = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile");
+        let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
-    let mut ctx = model.new_context();
-    let single = model.try_infer(&mut ctx, &image).expect("single");
-    let batch = model.try_infer_batch(std::slice::from_ref(&image));
-    assert_eq!(batch.len(), 1);
-    assert_eq!(batch[0].as_ref().expect("batch ok"), &single);
+        let mut ctx = model.new_context();
+        let single = model.try_infer(&mut ctx, &image).expect("single");
+        check_golden("quickstart_small_cnn", &single);
+        let batch = model.try_infer_batch(std::slice::from_ref(&image));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(
+            batch[0].as_ref().expect("batch ok"),
+            &single,
+            "fuse={}",
+            opts.fuse
+        );
+    }
 }

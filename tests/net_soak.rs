@@ -62,15 +62,13 @@ fn compiled(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
-    // The soak's oracle replays the served logits against this same plan;
-    // under the default env that plan must be the fused one.
-    if bitflow_graph::fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()) {
-        assert!(
-            !model.fused_conv_names().is_empty(),
-            "net soak expected a fused plan"
-        );
-    }
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+    // The soak's oracle replays the served logits against this same plan,
+    // which must be the fused one.
+    assert!(
+        !model.fused_conv_names().is_empty(),
+        "net soak expected a fused plan"
+    );
     Arc::new(model)
 }
 
@@ -138,11 +136,11 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
     let mut ctx_b = model_b.new_context();
     let oracle_a: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_a.infer(&mut ctx_a, i))
+        .map(|i| model_a.try_infer(&mut ctx_a, i).expect("infer"))
         .collect();
     let oracle_b: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_b.infer(&mut ctx_b, i))
+        .map(|i| model_b.try_infer(&mut ctx_b, i).expect("infer"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));

@@ -60,15 +60,13 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs: Vec<Tensor> = (0..DISTINCT_INPUTS)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    let model = CompiledModel::compile(&spec, &weights);
-    // The soak exercises the production plan: under the default env the
-    // serving path must run the fused Conv→BN→Sign epilogue.
-    if bitflow_graph::fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()) {
-        assert!(
-            !model.fused_conv_names().is_empty(),
-            "serving soak expected a fused plan"
-        );
-    }
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+    // The soak exercises the production plan: the serving path must run
+    // the fused Conv→BN→Sign epilogue.
+    assert!(
+        !model.fused_conv_names().is_empty(),
+        "serving soak expected a fused plan"
+    );
     (Arc::new(model), inputs)
 }
 
@@ -115,7 +113,7 @@ fn chaos_soak_conserves_every_request_and_preserves_logits() {
     let mut oracle_ctx = model.new_context();
     let oracle: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut oracle_ctx, img))
+        .map(|img| model.try_infer(&mut oracle_ctx, img).expect("infer"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));
@@ -255,7 +253,7 @@ fn compiled_model_only(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    Arc::new(CompiledModel::compile(&spec, &weights))
+    Arc::new(CompiledModel::try_compile(&spec, &weights).expect("compile"))
 }
 
 /// The multi-tenant, micro-batched variant of the chaos soak: two models
@@ -279,11 +277,11 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
     let mut ctx_b = model_b.new_context();
     let oracle_a: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_a.infer(&mut ctx_a, i))
+        .map(|i| model_a.try_infer(&mut ctx_a, i).expect("infer"))
         .collect();
     let oracle_b: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_b.infer(&mut ctx_b, i))
+        .map(|i| model_b.try_infer(&mut ctx_b, i).expect("infer"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));
@@ -436,7 +434,7 @@ fn calm_soak_completes_everything() {
     let mut oracle_ctx = model.new_context();
     let oracle: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut oracle_ctx, img))
+        .map(|img| model.try_infer(&mut oracle_ctx, img).expect("infer"))
         .collect();
 
     let server = Server::start(

@@ -1,19 +1,22 @@
 //! Allocation guard for the telemetry hot path.
 //!
-//! The serving contract is that `try_infer` performs exactly one heap
-//! allocation per request — the returned logits vector — and that enabling
-//! telemetry with the default `NoopSink` adds **zero** further allocations:
-//! metric recording is all relaxed atomics, and span construction is gated
-//! on `SpanSink::enabled()`. A counting global allocator pins both facts so
-//! an accidental `Vec`/`String`/boxing on the recorded path fails loudly.
+//! The serving contract is that an untraced request performs exactly one
+//! heap allocation — the returned logits vector — through `try_infer` and
+//! through the serving call `try_serve` with a live cancel token and a tag,
+//! and that enabling telemetry adds **zero** further allocations: metric
+//! recording is all relaxed atomics, and op spans are built only for a
+//! request that carries a trace. A counting global allocator pins these
+//! facts so an accidental `Vec`/`String`/boxing on the recorded path fails
+//! loudly.
 
 use bitflow_graph::models::small_cnn;
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::CompiledModel;
+use bitflow_graph::{CancelToken, CompiledModel, InferRequest};
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use std::time::Duration;
 
 thread_local! {
     // const-init so reading the counter never itself allocates.
@@ -79,19 +82,39 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (n, out)
 }
 
-fn infer_alloc_count(enable_telemetry: bool) -> u64 {
+/// The engine entry point a measured request goes through.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `try_infer`.
+    Infer,
+    /// `try_serve` with a live cancel token (deadline armed) and a tag.
+    Serve,
+}
+
+fn infer_alloc_count(enable_telemetry: bool, call: Call) -> u64 {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(21);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
     if enable_telemetry {
         model.enable_telemetry();
     }
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let mut ctx = model.new_context();
+    let cancel = CancelToken::with_budget(Duration::from_secs(600));
+    let request = InferRequest {
+        input: &input,
+        cancel: &cancel,
+        tag: 7,
+        trace: None,
+    };
+    let mut run = || match call {
+        Call::Infer => model.try_infer(&mut ctx, &input),
+        Call::Serve => model.try_serve(&mut ctx, &request),
+    };
     // Warm-up: first call may fault in lazily-initialized state.
-    let warm = model.try_infer(&mut ctx, &input).expect("warm-up");
-    let (n, out) = count_allocs(|| model.try_infer(&mut ctx, &input).expect("measured"));
+    let warm = run().expect("warm-up");
+    let (n, out) = count_allocs(|| run().expect("measured"));
     assert_eq!(out, warm, "warm-up and measured runs must agree");
     n
 }
@@ -99,12 +122,20 @@ fn infer_alloc_count(enable_telemetry: bool) -> u64 {
 #[test]
 fn try_infer_allocates_exactly_once_without_telemetry() {
     // The single allocation is the returned logits vector.
-    assert_eq!(infer_alloc_count(false), 1);
+    assert_eq!(infer_alloc_count(false, Call::Infer), 1);
 }
 
 #[test]
-fn noop_telemetry_adds_no_allocations() {
-    // Recording metrics into the default NoopSink telemetry must not add a
-    // single heap allocation over the bare path.
-    assert_eq!(infer_alloc_count(true), 1);
+fn enabled_telemetry_adds_no_allocations() {
+    // Recording metrics must not add a single heap allocation over the
+    // bare path.
+    assert_eq!(infer_alloc_count(true, Call::Infer), 1);
+}
+
+#[test]
+fn try_serve_allocates_exactly_once() {
+    // Cancel checks, the tag guard and the panic backstop are all
+    // allocation-free, with telemetry off and on.
+    assert_eq!(infer_alloc_count(false, Call::Serve), 1);
+    assert_eq!(infer_alloc_count(true, Call::Serve), 1);
 }

@@ -144,7 +144,7 @@ fn engine_infer_invariant_across_pools() {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(14);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
     let mut ctx = model.new_context();
@@ -162,7 +162,7 @@ fn engine_infer_invariant_across_pools() {
 
 #[test]
 fn unfused_engine_infer_invariant_across_pools() {
-    // The `BITFLOW_FUSE=0` dataflow (parallel float conv, then a separate
+    // The unfused dataflow (parallel float conv, then a separate
     // threshold binarize) must be just as thread-invariant as the fused
     // default — and agree with it bit-for-bit.
     let spec = small_cnn();
@@ -195,7 +195,7 @@ fn engine_batch_invariant_across_pools() {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(15);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
     let inputs: Vec<Tensor> = (0..6)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
