@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 use bitflow_graph::{BitFlowError, RejectReason};
 use bitflow_serve::{ChaosConfig, DegradationState, Server};
 use bitflow_telemetry::{
-    to_chrome_trace, FlightRecorder, MetricsSnapshot, ServeGauges, Stage, TraceBuilder,
+    to_chrome_trace, FlightRecorder, MetricsSnapshot, ServeCounter, ServeGauges, Stage,
+    TraceBuilder,
 };
 
 use crate::config::NetConfig;
@@ -197,17 +198,17 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
                     if chaos.conn_kill_hit(conn) {
                         // Injected abrupt disconnect: accepted, then gone
                         // before a single byte moves either way.
-                        shared.gauges.conn_accepted();
+                        shared.gauges.inc(ServeCounter::NetAcceptedConns);
                         drop(stream);
                         continue;
                     }
                 }
                 if shared.open_conns.load(Ordering::Acquire) >= shared.config.max_conns {
-                    shared.gauges.conn_rejected();
+                    shared.gauges.inc(ServeCounter::NetRejectedConns);
                     shed(shared, stream);
                     continue;
                 }
-                shared.gauges.conn_accepted();
+                shared.gauges.inc(ServeCounter::NetAcceptedConns);
                 shared.open_conns.fetch_add(1, Ordering::AcqRel);
                 let conn_shared = Arc::clone(shared);
                 // The stream rides in a take-able cell so a failed spawn
@@ -235,7 +236,7 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
                     // best-effort 503 + retry-after instead of a silent
                     // drop.
                     shared.open_conns.fetch_sub(1, Ordering::AcqRel);
-                    shared.gauges.spawn_shed();
+                    shared.gauges.inc(ServeCounter::NetSpawnSheds);
                     let recovered = cell.lock().map(|mut slot| slot.take()).unwrap_or(None);
                     if let Some(stream) = recovered {
                         shed(shared, stream);
@@ -250,7 +251,7 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
             Err(_) => {
                 // EMFILE, ENFILE, ECONNABORTED storms, interface flaps:
                 // count it, back off exponentially, keep listening.
-                shared.gauges.accept_error();
+                shared.gauges.inc(ServeCounter::NetAcceptErrors);
                 thread::sleep(backoff);
                 backoff = next_accept_backoff(backoff);
             }
@@ -267,7 +268,7 @@ fn shed(shared: &NetShared, mut stream: TcpStream) {
         .to_bytes(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     if let Ok(n) = stream.write(&bytes) {
-        shared.gauges.add_bytes_out(n as u64);
+        shared.gauges.add(ServeCounter::NetBytesOut, n as u64);
     }
     let _ = stream.shutdown(Shutdown::Both);
 }
@@ -346,7 +347,7 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
         let head = match http::parse_head(&head_bytes) {
             Ok(head) => head,
             Err(e) => {
-                shared.gauges.malformed_request();
+                shared.gauges.inc(ServeCounter::NetMalformedRequests);
                 let wire_id = format!("c{conn}-r{req_no}");
                 let resp = Response::new(400).text(&e.to_string());
                 let _ = write_response(shared, &mut stream, conn, req_no, &wire_id, &resp, false);
@@ -433,13 +434,13 @@ fn read_head(
     loop {
         if let Some(end) = http::find_head_end(buf) {
             if end > http::MAX_HEAD_BYTES {
-                shared.gauges.malformed_request();
+                shared.gauges.inc(ServeCounter::NetMalformedRequests);
                 return HeadOutcome::Fail(431);
             }
             return HeadOutcome::Complete(end);
         }
         if buf.len() > http::MAX_HEAD_BYTES {
-            shared.gauges.malformed_request();
+            shared.gauges.inc(ServeCounter::NetMalformedRequests);
             return HeadOutcome::Fail(431);
         }
         if shared.shutdown.load(Ordering::Acquire) && buf.is_empty() {
@@ -453,7 +454,7 @@ fn read_head(
                 // Idle keep-alive expiry, not an attack: close silently.
                 return HeadOutcome::Close;
             }
-            shared.gauges.read_timeout();
+            shared.gauges.inc(ServeCounter::NetTimeoutsRead);
             return HeadOutcome::Fail(408);
         }
         match read_some(shared, stream, conn, read_no, deadline - now, buf) {
@@ -491,7 +492,7 @@ fn read_some(
     match stream.read(&mut chunk) {
         Ok(0) => ReadOutcome::Closed,
         Ok(n) => {
-            shared.gauges.add_bytes_in(n as u64);
+            shared.gauges.add(ServeCounter::NetBytesIn, n as u64);
             buf.extend_from_slice(&chunk[..n]);
             ReadOutcome::Data
         }
@@ -533,7 +534,7 @@ fn read_body(
         }
         let now = Instant::now();
         if now >= deadline {
-            shared.gauges.read_timeout();
+            shared.gauges.inc(ServeCounter::NetTimeoutsRead);
             return Err(HeadOutcome::Fail(408));
         }
         match read_some(shared, stream, conn, read_no, deadline - now, buf) {
@@ -667,23 +668,23 @@ fn infer(
     let content_length = match head.content_length() {
         Ok(Some(n)) => n,
         Ok(None) => {
-            shared.gauges.malformed_request();
+            shared.gauges.inc(ServeCounter::NetMalformedRequests);
             return RouteOutcome::RespondClose(Response::new(411).text("content-length required"));
         }
         Err(ParseError::UnsupportedTransferEncoding) => {
-            shared.gauges.malformed_request();
+            shared.gauges.inc(ServeCounter::NetMalformedRequests);
             return RouteOutcome::RespondClose(
                 Response::new(501).text("only content-length framing is supported"),
             );
         }
         Err(e) => {
-            shared.gauges.malformed_request();
+            shared.gauges.inc(ServeCounter::NetMalformedRequests);
             return RouteOutcome::RespondClose(Response::new(400).text(&e.to_string()));
         }
     };
     if content_length > shared.config.max_body_bytes {
         // Refused from the header alone — not a single body byte is read.
-        shared.gauges.malformed_request();
+        shared.gauges.inc(ServeCounter::NetMalformedRequests);
         return RouteOutcome::RespondClose(
             Response::new(413)
                 .header("x-bitflow-max-body", shared.config.max_body_bytes)
@@ -728,7 +729,7 @@ fn infer(
         Ok(t) => t,
         Err(e) => {
             // Body fully consumed, so the connection can survive this.
-            shared.gauges.malformed_request();
+            shared.gauges.inc(ServeCounter::NetMalformedRequests);
             // Same {"code","message"} shape as BitFlowError; DecodeError
             // messages are fixed strings with nothing to escape.
             let json = format!("{{\"code\":\"bad_tensor\",\"message\":\"{e}\"}}");
@@ -884,14 +885,14 @@ fn write_response_inner(
     let mut written = 0usize;
     while written < limit {
         if Instant::now() >= deadline {
-            shared.gauges.write_timeout();
+            shared.gauges.inc(ServeCounter::NetTimeoutsWrite);
             return Err(());
         }
         match stream.write(&bytes[written..limit]) {
             Ok(0) => return Err(()),
             Ok(n) => {
                 written += n;
-                shared.gauges.add_bytes_out(n as u64);
+                shared.gauges.add(ServeCounter::NetBytesOut, n as u64);
             }
             Err(e)
                 if matches!(

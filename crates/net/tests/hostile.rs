@@ -447,14 +447,10 @@ fn graceful_shutdown_drains_in_flight_and_conserves_gauges() {
     // After the drain: no open connections, and the serving gauges
     // conserve exactly — every admitted request resolved exactly once.
     let snap = server.gauges().snapshot();
-    let rejected = snap.rejected_queue_full
-        + snap.rejected_shedding
-        + snap.rejected_draining
-        + snap.rejected_quota;
-    assert_eq!(snap.submitted, snap.accepted + rejected);
+    assert_eq!(snap.submitted, snap.accepted + snap.rejected());
     assert_eq!(
         snap.accepted,
-        snap.completed + snap.failed + snap.shed_deadline + snap.deadline_missed + snap.cancelled,
+        snap.resolved(),
         "graceful drain must not lose or double-resolve a request"
     );
     assert_eq!(

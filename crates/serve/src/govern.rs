@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bitflow_graph::{BitFlowError, RejectReason};
-use bitflow_telemetry::ServeGauges;
+use bitflow_telemetry::{ServeCounter, ServeGauges};
 
 /// Scheduling class of a tenant under degradation: who is shed first
 /// when the governor browns out.
@@ -293,8 +293,14 @@ impl ResourceGovernor {
             return Arc::clone(t);
         }
         let effective = self.tenant_budget.min(self.global_budget);
-        gauges.set_mem_budget(if effective == u64::MAX { 0 } else { effective });
-        gauges.set_degradation_state(self.state.load(Ordering::Relaxed));
+        gauges.set(
+            ServeCounter::MemBudgetBytes,
+            if effective == u64::MAX { 0 } else { effective },
+        );
+        gauges.set(
+            ServeCounter::DegradationState,
+            self.state.load(Ordering::Relaxed),
+        );
         let account = Arc::new(TenantAccount {
             name: name.to_string(),
             used: AtomicU64::new(0),
@@ -443,7 +449,7 @@ impl ResourceGovernor {
         if next != current {
             self.state.store(next.as_u64(), Ordering::Relaxed);
             for t in lock(&self.tenants).iter() {
-                t.gauges.set_degradation_state(next.as_u64());
+                t.gauges.set(ServeCounter::DegradationState, next.as_u64());
             }
         }
         next
@@ -499,18 +505,18 @@ mod tests {
         );
         let g = gauges();
         let t = gov.tenant("a", &g);
-        assert_eq!(g.snapshot().govern.mem_budget_bytes, 600);
+        assert_eq!(g.snapshot().mem_budget_bytes, 600);
         let lease = gov.reserve(&t, 500, "test").expect("fits both scopes");
         assert_eq!(lease.bytes(), 500);
         assert_eq!(gov.used(), 500);
         assert_eq!(t.used(), 500);
-        assert_eq!(g.snapshot().govern.mem_used_bytes, 500);
-        assert_eq!(g.snapshot().govern.mem_leases, 1);
+        assert_eq!(g.snapshot().mem_used_bytes, 500);
+        assert_eq!(g.snapshot().mem_leases, 1);
         drop(lease);
         assert_eq!(gov.used(), 0);
         assert_eq!(t.used(), 0);
-        assert_eq!(g.snapshot().govern.mem_used_bytes, 0);
-        assert_eq!(g.snapshot().govern.mem_leases, 0);
+        assert_eq!(g.snapshot().mem_used_bytes, 0);
+        assert_eq!(g.snapshot().mem_leases, 0);
     }
 
     #[test]
@@ -558,7 +564,7 @@ mod tests {
         let gov = ResourceGovernor::new(GovernorConfig::default(), 0);
         let g = gauges();
         let t = gov.tenant("a", &g);
-        assert_eq!(g.snapshot().govern.mem_budget_bytes, 0, "0 = unmetered");
+        assert_eq!(g.snapshot().mem_budget_bytes, 0, "0 = unmetered");
         let lease = gov.reserve(&t, u64::MAX / 2, "test").expect("unmetered");
         assert_eq!(gov.used(), u64::MAX / 2);
         assert_eq!(gov.pressure_permille(), 0, "no budget, no pressure");
@@ -691,13 +697,13 @@ mod tests {
         let _b = gov.tenant("b", &gb);
         let lease = gov.reserve(&a, 90, "test").expect("fits");
         gov.evaluate(0, 64);
-        assert_eq!(ga.degradation_state(), 1);
-        assert_eq!(gb.degradation_state(), 1);
+        assert_eq!(ga.snapshot().degradation_state, 1);
+        assert_eq!(gb.snapshot().degradation_state, 1);
         drop(lease);
         for _ in 0..RECOVERY_EVALS {
             gov.evaluate(0, 64);
         }
-        assert_eq!(ga.degradation_state(), 0);
-        assert_eq!(gb.degradation_state(), 0);
+        assert_eq!(ga.snapshot().degradation_state, 0);
+        assert_eq!(gb.snapshot().degradation_state, 0);
     }
 }

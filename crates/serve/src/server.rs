@@ -9,9 +9,8 @@
 //!   with a typed [`BitFlowError`]. Rejected submissions never allocate a
 //!   response slot at all.
 //! * [`bitflow_telemetry::ServeSnapshot`]'s conservation law holds **per
-//!   model**: `submitted == accepted + rejected_*`, and once drained
-//!   `accepted == completed + failed + shed_deadline + deadline_missed +
-//!   cancelled`. Serving counters live on the [`ModelEntry`], so a
+//!   model**: `submitted == accepted + rejected()`, and once drained
+//!   `accepted == resolved()`. Serving counters live on the [`ModelEntry`], so a
 //!   multi-tenant server keeps one independent ledger per served name.
 //! * A worker panic (injected or real) is isolated to its request; the
 //!   worker replaces its scratch context and keeps serving. A panic that
@@ -49,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use bitflow_graph::engine::InferenceContext;
 use bitflow_graph::{BitFlowError, CancelToken, CompiledModel, InferRequest, RejectReason};
-use bitflow_telemetry::{FlightRecorder, ServeSnapshot, Stage, TraceBuilder};
+use bitflow_telemetry::{FlightRecorder, ServeCounter, ServeSnapshot, Stage, TraceBuilder};
 use bitflow_tensor::Tensor;
 
 use crate::chaos;
@@ -237,7 +236,9 @@ impl Shared {
             b.open_until = Some(Instant::now() + self.config.breaker.cooldown);
             // The breaker guards the whole pool, so its trips land on the
             // default entry's gauges.
-            self.default_entry.counters().breaker_trip();
+            self.default_entry
+                .counters()
+                .inc(ServeCounter::BreakerTrips);
         }
     }
 
@@ -445,7 +446,7 @@ impl Server {
         if let Some(t) = &trace {
             t.tb.set_tenant(entry.name());
         }
-        entry.counters().submitted();
+        entry.counters().inc(ServeCounter::Submitted);
         if sh.breaker_open() {
             return Err(reject_traced(
                 sh,
@@ -498,7 +499,7 @@ impl Server {
                         .position(|r| r.token.is_cancelled() || r.token.deadline_passed());
                     match dead.and_then(|i| q.items.remove(i)) {
                         Some(victim) => {
-                            victim.entry.counters().dequeued();
+                            victim.entry.counters().sub(ServeCounter::QueueDepth, 1);
                             resolve_dead(sh, &victim);
                         }
                         None => {
@@ -848,8 +849,19 @@ impl ModelClient<'_> {
 
 /// Counts a rejection on the entry's ledger and passes the reason through.
 fn reject(entry: &ModelEntry, reason: RejectReason) -> RejectReason {
-    entry.counters().rejected(reason.label());
+    entry.counters().inc(reject_counter(reason));
     reason
+}
+
+/// The counter that tallies rejections for `reason`.
+fn reject_counter(reason: RejectReason) -> ServeCounter {
+    match reason {
+        RejectReason::QueueFull => ServeCounter::RejectedQueueFull,
+        RejectReason::Shedding => ServeCounter::RejectedShedding,
+        RejectReason::Draining => ServeCounter::RejectedDraining,
+        RejectReason::QuotaExceeded => ServeCounter::RejectedQuota,
+        RejectReason::MemoryPressure => ServeCounter::RejectedMemory,
+    }
 }
 
 /// [`reject`] plus trace bookkeeping: stamps the admit stage and a
@@ -891,10 +903,10 @@ fn resolve_dead(shared: &Shared, req: &Request) {
         .counters()
         .record_queue_wait_ns(now.saturating_duration_since(req.enqueued_at).as_nanos() as u64);
     if req.token.is_cancelled() {
-        req.entry.counters().cancelled();
+        req.entry.counters().inc(ServeCounter::Cancelled);
         req.slot.resolve(Err(BitFlowError::Cancelled));
     } else {
-        req.entry.counters().shed_deadline();
+        req.entry.counters().inc(ServeCounter::ShedDeadline);
         shared.governor.record_outcome(true);
         req.slot.resolve(Err(BitFlowError::DeadlineExceeded));
     }
@@ -1001,7 +1013,7 @@ fn take_compatible(q: &mut QueueState, batch: &mut Vec<Request>, max_batch: usiz
             match q.items.remove(i) {
                 Some(mut req) => {
                     req.popped_at = Instant::now();
-                    req.entry.counters().dequeued();
+                    req.entry.counters().sub(ServeCounter::QueueDepth, 1);
                     batch.push(req);
                 }
                 None => break,
@@ -1020,7 +1032,7 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Request>> {
     let head = loop {
         if let Some(mut req) = q.items.pop_front() {
             req.popped_at = Instant::now();
-            req.entry.counters().dequeued();
+            req.entry.counters().sub(ServeCounter::QueueDepth, 1);
             break req;
         }
         if q.draining {
@@ -1091,7 +1103,10 @@ fn worker_main(shared: &Shared, worker_id: u64) {
         }));
         match exited {
             Ok(()) => return,
-            Err(_) => shared.default_entry.counters().worker_restart(),
+            Err(_) => shared
+                .default_entry
+                .counters()
+                .inc(ServeCounter::WorkerRestarts),
         }
     }
 }
@@ -1221,23 +1236,23 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
 fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError>) {
     match &result {
         Ok(_) => {
-            req.entry.counters().completed();
+            req.entry.counters().inc(ServeCounter::Completed);
             shared.governor.record_outcome(false);
             shared.breaker_success();
         }
-        Err(BitFlowError::Cancelled) => req.entry.counters().cancelled(),
+        Err(BitFlowError::Cancelled) => req.entry.counters().inc(ServeCounter::Cancelled),
         Err(BitFlowError::DeadlineExceeded) => {
-            req.entry.counters().deadline_missed();
+            req.entry.counters().inc(ServeCounter::DeadlineMissed);
             shared.governor.record_outcome(true);
         }
         Err(BitFlowError::Internal(_)) => {
             // A panic isolated inside inference. This is the only outcome
             // that feeds the breaker.
-            req.entry.counters().worker_panic();
-            req.entry.counters().failed();
+            req.entry.counters().inc(ServeCounter::WorkerPanics);
+            req.entry.counters().inc(ServeCounter::Failed);
             shared.breaker_fault();
         }
-        Err(_) => req.entry.counters().failed(),
+        Err(_) => req.entry.counters().inc(ServeCounter::Failed),
     }
     if let Some(t) = &req.trace {
         if let Err(e) = &result {
@@ -1264,6 +1279,34 @@ mod tests {
     use bitflow_graph::weights::NetworkWeights;
     use bitflow_tensor::Layout;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn each_reject_reason_bumps_exactly_its_own_labelled_counter() {
+        use bitflow_telemetry::{MetricsSnapshot, ServeGauges};
+        for reason in [
+            RejectReason::QueueFull,
+            RejectReason::Shedding,
+            RejectReason::Draining,
+            RejectReason::QuotaExceeded,
+            RejectReason::MemoryPressure,
+        ] {
+            let gauges = ServeGauges::default();
+            gauges.inc(reject_counter(reason));
+            let snap = gauges.snapshot();
+            assert_eq!(snap.rejected(), 1, "{reason:?}");
+            // Every other series of the exposition stays at zero.
+            let text = MetricsSnapshot::serve_only("m", snap).to_prometheus();
+            let moved: Vec<&str> = text
+                .lines()
+                .filter(|l| !l.starts_with('#') && !l.ends_with(" 0"))
+                .collect();
+            let want = format!(
+                "bitflow_serve_rejected_total{{model=\"m\",reason=\"{}\"}} 1",
+                reason.label()
+            );
+            assert_eq!(moved, [want.as_str()], "{reason:?}");
+        }
+    }
 
     fn model_with_seed(seed: u64) -> Arc<CompiledModel> {
         let spec = small_cnn();
@@ -1644,7 +1687,7 @@ mod tests {
         assert_eq!(snap.accepted, accepted);
         assert_eq!(
             snap.submitted,
-            snap.accepted + snap.rejected_draining + snap.rejected_queue_full,
+            snap.accepted + snap.rejected(),
             "conservation across the submit/drain race"
         );
         assert_eq!(snap.completed, accepted, "no admitted request was lost");

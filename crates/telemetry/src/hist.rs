@@ -115,13 +115,6 @@ impl LatencyHistogram {
     pub fn percentile(&self, p: f64) -> u64 {
         percentile_of(&self.snapshot_buckets(), p)
     }
-
-    /// Resets every bucket to zero.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Percentile over a bucket-count vector (shared by the live histogram and
@@ -262,17 +255,6 @@ mod tests {
         assert_eq!(v, h.percentile(99.9));
         let rel = (v as f64 - 1_000.0).abs() / 1_000.0;
         assert!(rel <= 0.0625, "single-sample representative {v}");
-    }
-
-    #[test]
-    fn reset_clears_counts() {
-        let h = LatencyHistogram::new();
-        h.record(5);
-        h.record(500);
-        assert_eq!(h.count(), 2);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(50.0), 0);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   and bandwidth are derived at snapshot time, and batch-queue gauges.
 //! * [`MetricsSnapshot`] — a plain-data, `serde`-serializable copy of every
 //!   counter, written by the bench bins to `results/telemetry.json`.
+//! * [`ServeGauges`] / [`ServeSnapshot`] — the serving-runtime counters,
+//!   each declared once as a row of one table that also drives their
+//!   Prometheus families.
 //! * [`TraceBuilder`] / [`FlightRecorder`] — the one trace pipeline:
 //!   request-scoped lifecycle tracing across net → serve → engine into a
 //!   [`RequestTrace`], with tail-based sampling (every error plus the
@@ -33,19 +36,21 @@ mod metrics;
 mod prometheus;
 mod recorder;
 pub mod roofline;
+mod serve;
 mod snapshot;
 mod span;
 
 pub use chrome::to_chrome_trace;
 pub use hist::{bucket_upper_edge, percentile_of, LatencyHistogram};
-pub use metrics::{
-    BatchGauges, ModelTelemetry, OpCost, OpDescriptor, OpKind, ServeGauges, StageTimer, TileStats,
-};
+pub use metrics::{BatchGauges, ModelTelemetry, OpCost, OpDescriptor, OpKind, TileStats};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats};
 pub use roofline::{BwSource, Roofline};
+pub use serve::{
+    RowKind, ServeCounter, ServeGauges, ServeRow, ServeSnapshot, SizeBucket, StageSnapshot,
+    BATCH_SIZE_EDGES,
+};
 pub use snapshot::{
-    BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound,
-    OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
+    BatchSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpSnapshot, PerfSnapshot,
     SCHEMA_VERSION,
 };
 pub use span::{OpSpan, RequestTrace, Stage, StageSpan, TraceBuilder};

@@ -20,9 +20,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::hist::{bucket_upper_edge, LatencyHistogram};
+use crate::serve::ServeGauges;
 use crate::snapshot::{
-    BatchSnapshot, GovernSnapshot, HistBucket, MetricsSnapshot, OpBound, OpSnapshot, PerfSnapshot,
-    ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES, SCHEMA_VERSION,
+    BatchSnapshot, HistBucket, MetricsSnapshot, OpBound, OpSnapshot, PerfSnapshot, SCHEMA_VERSION,
 };
 
 /// Coarse operator category, mirroring the engine's runtime op set.
@@ -128,13 +128,6 @@ impl OpMetrics {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
         self.hist.record(ns);
     }
-
-    fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        self.hist.reset();
-    }
 }
 
 struct OpChannel {
@@ -189,419 +182,6 @@ impl BatchGauges {
             max_batch: self.max_batch.load(Ordering::Relaxed),
             queued_items: self.queued_items.load(Ordering::Relaxed),
         }
-    }
-
-    fn reset(&self) {
-        self.batches.store(0, Ordering::Relaxed);
-        self.items.store(0, Ordering::Relaxed);
-        self.failed_items.store(0, Ordering::Relaxed);
-        self.chunks.store(0, Ordering::Relaxed);
-        self.max_batch.store(0, Ordering::Relaxed);
-        // queued_items is a live gauge, not a counter: leave it alone.
-    }
-}
-
-/// One always-on request-lifecycle stage timer: a lock-free latency
-/// histogram plus a running nanosecond sum, so the Prometheus exposition
-/// can render a real histogram family (`_bucket`/`_sum`/`_count`).
-/// Recording is two relaxed `fetch_add`s — cheap enough to leave on even
-/// when tracing is off.
-#[derive(Default)]
-pub struct StageTimer {
-    hist: LatencyHistogram,
-    total_ns: AtomicU64,
-}
-
-impl StageTimer {
-    /// Records one stage duration.
-    #[inline]
-    pub fn record(&self, ns: u64) {
-        self.hist.record(ns);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> StageSnapshot {
-        let buckets = self.hist.snapshot_buckets();
-        StageSnapshot {
-            count: self.hist.count(),
-            total_ns: self.total_ns.load(Ordering::Relaxed),
-            buckets: buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(idx, &count)| HistBucket {
-                    le_ns: bucket_upper_edge(idx),
-                    count,
-                })
-                .collect(),
-        }
-    }
-
-    fn reset(&self) {
-        self.hist.reset();
-        self.total_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for StageTimer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageTimer")
-            .field("count", &self.hist.count())
-            .field("total_ns", &self.total_ns.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Serving-runtime counters updated by `bitflow-serve`: admission,
-/// shedding, deadlines, worker health. All relaxed atomics — the serving
-/// hot path records into these lock-free, and the server shares one handle
-/// with [`ModelTelemetry`] so the counters surface in
-/// [`MetricsSnapshot::serve`] and the Prometheus exposition.
-#[derive(Debug, Default)]
-pub struct ServeGauges {
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_shedding: AtomicU64,
-    rejected_draining: AtomicU64,
-    rejected_quota: AtomicU64,
-    shed_deadline: AtomicU64,
-    deadline_missed: AtomicU64,
-    cancelled: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    breaker_trips: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_max: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    batch_size_max: AtomicU64,
-    // One counter per BATCH_SIZE_EDGES bucket plus the overflow bucket.
-    batch_size_hist: [AtomicU64; BATCH_SIZE_EDGES.len() + 1],
-    net_accepted_conns: AtomicU64,
-    net_rejected_conns: AtomicU64,
-    net_timeouts_read: AtomicU64,
-    net_timeouts_write: AtomicU64,
-    net_malformed_requests: AtomicU64,
-    net_bytes_in: AtomicU64,
-    net_bytes_out: AtomicU64,
-    rejected_memory: AtomicU64,
-    net_accept_errors: AtomicU64,
-    net_spawn_sheds: AtomicU64,
-    mem_used_bytes: AtomicU64,
-    mem_budget_bytes: AtomicU64,
-    mem_leases: AtomicU64,
-    degradation_state: AtomicU64,
-    stage_queue_wait: StageTimer,
-    stage_batch_wait: StageTimer,
-    stage_exec: StageTimer,
-    stage_write: StageTimer,
-}
-
-impl ServeGauges {
-    /// A request was offered to `submit` (admitted or not).
-    pub fn submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request entered the admission queue. Raises the depth gauge.
-    pub fn enqueued(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// A request left the admission queue (picked up or shed). Lowers the
-    /// depth gauge.
-    pub fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A submission was refused with the given rejection label
-    /// (`"queue_full"`, `"shedding"`, `"draining"`, `"quota"`,
-    /// `"memory"` — anything else counts as queue-full, the conservative
-    /// bucket).
-    pub fn rejected(&self, label: &str) {
-        match label {
-            "shedding" => &self.rejected_shedding,
-            "draining" => &self.rejected_draining,
-            "quota" => &self.rejected_quota,
-            "memory" => &self.rejected_memory,
-            _ => &self.rejected_queue_full,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker served one coalesced micro-batch of `size` requests in a
-    /// single engine call (`size == 1` is the unbatched fast path).
-    pub fn batch_served(&self, size: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(size, Ordering::Relaxed);
-        self.batch_size_max.fetch_max(size, Ordering::Relaxed);
-        let idx = BATCH_SIZE_EDGES
-            .iter()
-            .position(|&edge| size <= edge)
-            .unwrap_or(BATCH_SIZE_EDGES.len());
-        self.batch_size_hist[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An admitted request completed with logits.
-    pub fn completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An admitted request resolved to a typed inference error.
-    pub fn failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An admitted request was dropped before running: its deadline budget
-    /// was already unmeetable.
-    pub fn shed_deadline(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An admitted request was cancelled mid-run by its deadline.
-    pub fn deadline_missed(&self) {
-        self.deadline_missed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An admitted request was cancelled by its caller.
-    pub fn cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker caught and isolated a panic.
-    pub fn worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker loop was restarted after a panic escaped the per-request
-    /// backstop.
-    pub fn worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The circuit breaker tripped into the shedding state.
-    pub fn breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests waiting in the admission queue right now.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// The network front-end accepted a TCP connection.
-    pub fn conn_accepted(&self) {
-        self.net_accepted_conns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The accept loop refused a TCP connection (connection cap).
-    pub fn conn_rejected(&self) {
-        self.net_rejected_conns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was dropped because a read deadline expired (slowloris
-    /// header drip or stalled body).
-    pub fn read_timeout(&self) {
-        self.net_timeouts_read.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was dropped because a response write stalled past its
-    /// deadline.
-    pub fn write_timeout(&self) {
-        self.net_timeouts_write.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was refused as malformed before reaching admission.
-    pub fn malformed_request(&self) {
-        self.net_malformed_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` request bytes were read off the wire.
-    pub fn add_bytes_in(&self, n: u64) {
-        self.net_bytes_in.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` response bytes were written to the wire.
-    pub fn add_bytes_out(&self, n: u64) {
-        self.net_bytes_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The accept loop's `accept(2)` returned a non-transient error
-    /// (EMFILE/ENFILE descriptor exhaustion included).
-    pub fn accept_error(&self) {
-        self.net_accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was shed because its handler thread could not be
-    /// spawned — counted apart from cap rejections so descriptor/thread
-    /// exhaustion is visible as its own failure mode.
-    pub fn spawn_shed(&self) {
-        self.net_spawn_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The resource governor granted a lease of `bytes`. Raises the
-    /// used-bytes and live-lease gauges.
-    pub fn mem_reserved(&self, bytes: u64) {
-        self.mem_used_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.mem_leases.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A memory lease of `bytes` was released. Lowers the used-bytes and
-    /// live-lease gauges.
-    pub fn mem_released(&self, bytes: u64) {
-        self.mem_used_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        self.mem_leases.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the governor's global byte budget (0 = unbudgeted).
-    pub fn set_mem_budget(&self, bytes: u64) {
-        self.mem_budget_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Publishes the brownout state machine's current state
-    /// (0 = Normal, 1 = Brownout, 2 = Shed).
-    pub fn set_degradation_state(&self, state: u64) {
-        self.degradation_state.store(state, Ordering::Relaxed);
-    }
-
-    /// The brownout state machine's last published state.
-    pub fn degradation_state(&self) -> u64 {
-        self.degradation_state.load(Ordering::Relaxed)
-    }
-
-    /// A request spent `ns` in the admission queue before a worker popped
-    /// it.
-    #[inline]
-    pub fn record_queue_wait_ns(&self, ns: u64) {
-        self.stage_queue_wait.record(ns);
-    }
-
-    /// A request spent `ns` between being popped and its micro-batch
-    /// starting execution (coalescing window plus dispatch).
-    #[inline]
-    pub fn record_batch_wait_ns(&self, ns: u64) {
-        self.stage_batch_wait.record(ns);
-    }
-
-    /// A request spent `ns` executing inside the engine.
-    #[inline]
-    pub fn record_exec_ns(&self, ns: u64) {
-        self.stage_exec.record(ns);
-    }
-
-    /// A response spent `ns` being written to the wire.
-    #[inline]
-    pub fn record_write_ns(&self, ns: u64) {
-        self.stage_write.record(ns);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServeSnapshot {
-        ServeSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_shedding: self.rejected_shedding.load(Ordering::Relaxed),
-            rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_items: self.batch_items.load(Ordering::Relaxed),
-            batch_size_max: self.batch_size_max.load(Ordering::Relaxed),
-            batch_size_hist: self
-                .batch_size_hist
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.load(Ordering::Relaxed) > 0)
-                .map(|(idx, c)| SizeBucket {
-                    le: BATCH_SIZE_EDGES.get(idx).copied().unwrap_or(u64::MAX),
-                    count: c.load(Ordering::Relaxed),
-                })
-                .collect(),
-            net_accepted_conns: self.net_accepted_conns.load(Ordering::Relaxed),
-            net_rejected_conns: self.net_rejected_conns.load(Ordering::Relaxed),
-            net_timeouts_read: self.net_timeouts_read.load(Ordering::Relaxed),
-            net_timeouts_write: self.net_timeouts_write.load(Ordering::Relaxed),
-            net_malformed_requests: self.net_malformed_requests.load(Ordering::Relaxed),
-            net_bytes_in: self.net_bytes_in.load(Ordering::Relaxed),
-            net_bytes_out: self.net_bytes_out.load(Ordering::Relaxed),
-            govern: GovernSnapshot {
-                rejected_memory: self.rejected_memory.load(Ordering::Relaxed),
-                net_accept_errors: self.net_accept_errors.load(Ordering::Relaxed),
-                net_spawn_sheds: self.net_spawn_sheds.load(Ordering::Relaxed),
-                mem_used_bytes: self.mem_used_bytes.load(Ordering::Relaxed),
-                mem_budget_bytes: self.mem_budget_bytes.load(Ordering::Relaxed),
-                mem_leases: self.mem_leases.load(Ordering::Relaxed),
-                degradation_state: self.degradation_state.load(Ordering::Relaxed),
-            },
-            stage_queue_wait: self.stage_queue_wait.snapshot(),
-            stage_batch_wait: self.stage_batch_wait.snapshot(),
-            stage_exec: self.stage_exec.snapshot(),
-            stage_write: self.stage_write.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        for c in [
-            &self.submitted,
-            &self.accepted,
-            &self.completed,
-            &self.failed,
-            &self.rejected_queue_full,
-            &self.rejected_shedding,
-            &self.rejected_draining,
-            &self.rejected_quota,
-            &self.shed_deadline,
-            &self.deadline_missed,
-            &self.cancelled,
-            &self.worker_panics,
-            &self.worker_restarts,
-            &self.breaker_trips,
-            &self.queue_depth_max,
-            &self.batches,
-            &self.batch_items,
-            &self.batch_size_max,
-            &self.net_accepted_conns,
-            &self.net_rejected_conns,
-            &self.net_timeouts_read,
-            &self.net_timeouts_write,
-            &self.net_malformed_requests,
-            &self.net_bytes_in,
-            &self.net_bytes_out,
-            &self.rejected_memory,
-            &self.net_accept_errors,
-            &self.net_spawn_sheds,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.batch_size_hist {
-            c.store(0, Ordering::Relaxed);
-        }
-        for t in [
-            &self.stage_queue_wait,
-            &self.stage_batch_wait,
-            &self.stage_exec,
-            &self.stage_write,
-        ] {
-            t.reset();
-        }
-        // queue_depth, mem_used_bytes, mem_budget_bytes, mem_leases, and
-        // degradation_state are live gauges, not counters: leave them
-        // alone.
     }
 }
 
@@ -801,27 +381,6 @@ impl ModelTelemetry {
         roofline.annotate(&mut snap);
         snap
     }
-
-    /// Zeroes all counters and histograms (the queued-items gauge and the
-    /// request count keep their live values).
-    pub fn reset(&self) {
-        for ch in &self.ops {
-            ch.metrics.reset();
-        }
-        self.batch.reset();
-        for c in [
-            &self.perf.sampled_requests,
-            &self.perf.cycles,
-            &self.perf.instructions,
-            &self.perf.llc_misses,
-            &self.perf.llc_samples,
-            &self.perf.branch_misses,
-            &self.perf.branch_samples,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.serve.reset();
-    }
 }
 
 impl std::fmt::Debug for ModelTelemetry {
@@ -975,102 +534,5 @@ mod tests {
         assert_eq!(snap.batch.chunks, 2);
         assert_eq!(snap.batch.max_batch, 4);
         assert_eq!(snap.batch.queued_items, 0);
-    }
-
-    #[test]
-    fn reset_zeroes_counters() {
-        let t = ModelTelemetry::new("test-net", descriptors());
-        t.record_op(0, 10);
-        t.batch().batch_started(2, 1);
-        t.batch().item_finished(true);
-        t.batch().item_finished(true);
-        t.reset();
-        let snap = t.snapshot();
-        assert_eq!(snap.ops[0].calls, 0);
-        assert_eq!(snap.ops[0].p50_ns, 0);
-        assert_eq!(snap.batch.batches, 0);
-        assert_eq!(snap.batch.items, 0);
-    }
-
-    #[test]
-    fn serve_gauges_track_quota_and_batch_sizes() {
-        let g = ServeGauges::default();
-        g.rejected("quota");
-        g.batch_served(1);
-        g.batch_served(3);
-        g.batch_served(40);
-        let snap = g.snapshot();
-        assert_eq!(snap.rejected_quota, 1);
-        assert_eq!(snap.batches, 3);
-        assert_eq!(snap.batch_items, 44);
-        assert_eq!(snap.batch_size_max, 40);
-        // 1 lands in le=1, 3 in le=4, 40 overflows past the last edge.
-        assert_eq!(
-            snap.batch_size_hist,
-            vec![
-                SizeBucket { le: 1, count: 1 },
-                SizeBucket { le: 4, count: 1 },
-                SizeBucket {
-                    le: u64::MAX,
-                    count: 1
-                },
-            ]
-        );
-        g.reset();
-        let snap = g.snapshot();
-        assert_eq!(snap.rejected_quota, 0);
-        assert_eq!(snap.batches, 0);
-        assert!(snap.batch_size_hist.is_empty());
-    }
-
-    #[test]
-    fn serve_gauges_track_net_counters() {
-        let g = ServeGauges::default();
-        g.conn_accepted();
-        g.conn_accepted();
-        g.conn_rejected();
-        g.read_timeout();
-        g.write_timeout();
-        g.malformed_request();
-        g.add_bytes_in(1_024);
-        g.add_bytes_out(256);
-        g.add_bytes_out(256);
-        let snap = g.snapshot();
-        assert_eq!(snap.net_accepted_conns, 2);
-        assert_eq!(snap.net_rejected_conns, 1);
-        assert_eq!(snap.net_timeouts_read, 1);
-        assert_eq!(snap.net_timeouts_write, 1);
-        assert_eq!(snap.net_malformed_requests, 1);
-        assert_eq!(snap.net_bytes_in, 1_024);
-        assert_eq!(snap.net_bytes_out, 512);
-        g.reset();
-        let snap = g.snapshot();
-        assert_eq!(snap.net_accepted_conns, 0);
-        assert_eq!(snap.net_bytes_in, 0);
-        assert_eq!(snap.net_bytes_out, 0);
-    }
-
-    #[test]
-    fn serve_gauges_track_stage_timings() {
-        let g = ServeGauges::default();
-        g.record_queue_wait_ns(1_000);
-        g.record_queue_wait_ns(3_000);
-        g.record_batch_wait_ns(500);
-        g.record_exec_ns(10_000);
-        g.record_write_ns(200);
-        let snap = g.snapshot();
-        assert_eq!(snap.stage_queue_wait.count, 2);
-        assert_eq!(snap.stage_queue_wait.total_ns, 4_000);
-        assert_eq!(snap.stage_batch_wait.count, 1);
-        assert_eq!(snap.stage_exec.total_ns, 10_000);
-        assert_eq!(snap.stage_write.count, 1);
-        // Bucket counts reconcile with the stage count.
-        let bucketed: u64 = snap.stage_queue_wait.buckets.iter().map(|b| b.count).sum();
-        assert_eq!(bucketed, 2);
-        g.reset();
-        let snap = g.snapshot();
-        assert_eq!(snap.stage_queue_wait.count, 0);
-        assert_eq!(snap.stage_exec.total_ns, 0);
-        assert!(snap.stage_write.buckets.is_empty());
     }
 }

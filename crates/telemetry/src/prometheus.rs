@@ -14,6 +14,7 @@
 
 use std::fmt::Write;
 
+use crate::serve::{RowValue, ServeSnapshot};
 use crate::snapshot::{MetricsSnapshot, OpBound};
 
 /// Escapes a label value per the exposition format: backslash, double
@@ -38,6 +39,61 @@ fn fmt_f64(v: f64) -> String {
         (if v > 0.0 { "+Inf" } else { "-Inf" }).to_string()
     } else {
         format!("{v}")
+    }
+}
+
+/// Renders the serving families from the counter table, in table order.
+/// Consecutive rows of one family share its `# HELP`/`# TYPE` header;
+/// histograms render cumulative buckets terminated by `+Inf`, then
+/// `_sum` and `_count`.
+fn serve_families(s: &mut String, sv: &ServeSnapshot, mlab: &str) {
+    let mut prev = None;
+    for row in ServeSnapshot::ROWS {
+        let Some(name) = row.family else { continue };
+        if prev != Some(name) {
+            let _ = writeln!(s, "# HELP {name} {}", row.help);
+            let _ = writeln!(s, "# TYPE {name} {}", row.kind.prometheus_type());
+            prev = Some(name);
+        }
+        match row.value(sv) {
+            RowValue::Scalar(v) => match row.label {
+                Some((key, value)) => {
+                    let _ = writeln!(s, "{name}{{{mlab},{key}=\"{value}\"}} {v}");
+                }
+                None => {
+                    let _ = writeln!(s, "{name}{{{mlab}}} {v}");
+                }
+            },
+            // The batch-size histogram's count and sum are the `batches`
+            // and `batch_items` rows.
+            RowValue::BatchSizes(buckets) => {
+                let mut cum = 0u64;
+                for b in buckets {
+                    cum += b.count;
+                    let le = if b.le == u64::MAX {
+                        "+Inf".to_string()
+                    } else {
+                        b.le.to_string()
+                    };
+                    let _ = writeln!(s, "{name}{{{mlab},le=\"{le}\"}} {cum}");
+                }
+                if buckets.last().map(|b| b.le) != Some(u64::MAX) {
+                    let _ = writeln!(s, "{name}{{{mlab},le=\"+Inf\"}} {}", sv.batches);
+                }
+                let _ = writeln!(s, "{name}_sum{{{mlab}}} {}", sv.batch_items);
+                let _ = writeln!(s, "{name}_count{{{mlab}}} {}", sv.batches);
+            }
+            RowValue::Stage(stage) => {
+                let mut cum = 0u64;
+                for b in &stage.buckets {
+                    cum += b.count;
+                    let _ = writeln!(s, "{name}{{{mlab},le=\"{}\"}} {cum}", b.le_ns);
+                }
+                let _ = writeln!(s, "{name}{{{mlab},le=\"+Inf\"}} {}", stage.count);
+                let _ = writeln!(s, "{name}_sum{{{mlab}}} {}", stage.total_ns);
+                let _ = writeln!(s, "{name}_count{{{mlab}}} {}", stage.count);
+            }
+        }
     }
 }
 
@@ -282,263 +338,7 @@ impl MetricsSnapshot {
             vec![(mlab.clone(), b.queued_items.to_string())],
         );
 
-        let sv = &self.serve;
-        let serve_counters: [(&str, &str, u64); 10] = [
-            (
-                "bitflow_serve_submitted_total",
-                "Requests offered to the serving admission queue.",
-                sv.submitted,
-            ),
-            (
-                "bitflow_serve_accepted_total",
-                "Requests admitted into the serving queue.",
-                sv.accepted,
-            ),
-            (
-                "bitflow_serve_completed_total",
-                "Admitted requests that returned logits.",
-                sv.completed,
-            ),
-            (
-                "bitflow_serve_failed_total",
-                "Admitted requests that resolved to an inference error.",
-                sv.failed,
-            ),
-            (
-                "bitflow_serve_deadline_shed_total",
-                "Admitted requests dropped before running: deadline unmeetable.",
-                sv.shed_deadline,
-            ),
-            (
-                "bitflow_serve_deadline_missed_total",
-                "Admitted requests cancelled mid-run by their deadline.",
-                sv.deadline_missed,
-            ),
-            (
-                "bitflow_serve_cancelled_total",
-                "Admitted requests cancelled by their caller.",
-                sv.cancelled,
-            ),
-            (
-                "bitflow_serve_worker_panics_total",
-                "Panics caught and isolated by serving workers.",
-                sv.worker_panics,
-            ),
-            (
-                "bitflow_serve_worker_restarts_total",
-                "Worker loops restarted after an escaped panic.",
-                sv.worker_restarts,
-            ),
-            (
-                "bitflow_serve_breaker_trips_total",
-                "Circuit-breaker transitions into the shedding state.",
-                sv.breaker_trips,
-            ),
-        ];
-        for (name, help, value) in serve_counters {
-            family(
-                &mut s,
-                name,
-                help,
-                "counter",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-        family(
-            &mut s,
-            "bitflow_serve_rejected_total",
-            "Submissions refused at admission, by reason.",
-            "counter",
-            [
-                ("queue_full", sv.rejected_queue_full),
-                ("shedding", sv.rejected_shedding),
-                ("draining", sv.rejected_draining),
-                ("quota", sv.rejected_quota),
-                ("memory", sv.govern.rejected_memory),
-            ]
-            .into_iter()
-            .map(|(reason, v)| (format!("{mlab},reason=\"{reason}\""), v.to_string()))
-            .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_serve_queue_depth",
-            "Requests waiting in the admission queue right now.",
-            "gauge",
-            vec![(mlab.clone(), sv.queue_depth.to_string())],
-        );
-        family(
-            &mut s,
-            "bitflow_serve_queue_depth_max",
-            "High-water mark of the admission queue since the last reset.",
-            "gauge",
-            vec![(mlab.clone(), sv.queue_depth_max.to_string())],
-        );
-
-        // Served-batch-size histogram: cumulative buckets from the sparse
-        // snapshot, +Inf at the total batch count, _sum over served items.
-        let mut batch_rows = Vec::new();
-        let mut cum = 0u64;
-        for b in &sv.batch_size_hist {
-            cum += b.count;
-            let le = if b.le == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                b.le.to_string()
-            };
-            batch_rows.push((format!("{mlab},le=\"{le}\""), cum.to_string()));
-        }
-        if sv.batch_size_hist.last().map(|b| b.le) != Some(u64::MAX) {
-            batch_rows.push((format!("{mlab},le=\"+Inf\""), sv.batches.to_string()));
-        }
-        family(
-            &mut s,
-            "bitflow_serve_batch_size",
-            "Requests per served micro-batch (1 is the unbatched path).",
-            "histogram",
-            batch_rows,
-        );
-        let _ = writeln!(
-            s,
-            "bitflow_serve_batch_size_sum{{{mlab}}} {}",
-            sv.batch_items
-        );
-        let _ = writeln!(s, "bitflow_serve_batch_size_count{{{mlab}}} {}", sv.batches);
-        family(
-            &mut s,
-            "bitflow_serve_batch_size_max",
-            "Largest micro-batch served since the last reset.",
-            "gauge",
-            vec![(mlab.clone(), sv.batch_size_max.to_string())],
-        );
-
-        // Request-lifecycle stage histograms: cumulative buckets from the
-        // sparse snapshots, +Inf at the stage count, _sum over stage time.
-        let stage_hists: [(&str, &str, &crate::snapshot::StageSnapshot); 4] = [
-            (
-                "bitflow_stage_queue_wait_ns",
-                "Admission-queue wait per request, nanoseconds.",
-                &sv.stage_queue_wait,
-            ),
-            (
-                "bitflow_stage_batch_wait_ns",
-                "Batch-formation wait per request (coalescing + dispatch), nanoseconds.",
-                &sv.stage_batch_wait,
-            ),
-            (
-                "bitflow_stage_exec_ns",
-                "Engine execution time per request, nanoseconds.",
-                &sv.stage_exec,
-            ),
-            (
-                "bitflow_stage_write_ns",
-                "Response write time per request, nanoseconds.",
-                &sv.stage_write,
-            ),
-        ];
-        for (name, help, stage) in stage_hists {
-            let mut rows = Vec::new();
-            let mut cum = 0u64;
-            for b in &stage.buckets {
-                cum += b.count;
-                rows.push((format!("{mlab},le=\"{}\"", b.le_ns), cum.to_string()));
-            }
-            rows.push((format!("{mlab},le=\"+Inf\""), stage.count.to_string()));
-            family(&mut s, name, help, "histogram", rows);
-            let _ = writeln!(s, "{name}_sum{{{mlab}}} {}", stage.total_ns);
-            let _ = writeln!(s, "{name}_count{{{mlab}}} {}", stage.count);
-        }
-
-        let net_counters: [(&str, &str, u64); 9] = [
-            (
-                "bitflow_net_accepted_conns_total",
-                "TCP connections accepted by the network front-end.",
-                sv.net_accepted_conns,
-            ),
-            (
-                "bitflow_net_rejected_conns_total",
-                "TCP connections refused at the accept loop (connection cap).",
-                sv.net_rejected_conns,
-            ),
-            (
-                "bitflow_net_timeouts_read_total",
-                "Connections dropped by an expired read deadline (slowloris included).",
-                sv.net_timeouts_read,
-            ),
-            (
-                "bitflow_net_timeouts_write_total",
-                "Connections dropped by a stalled response write.",
-                sv.net_timeouts_write,
-            ),
-            (
-                "bitflow_net_malformed_requests_total",
-                "Requests refused as malformed before reaching admission.",
-                sv.net_malformed_requests,
-            ),
-            (
-                "bitflow_net_bytes_in_total",
-                "Request bytes read off the wire.",
-                sv.net_bytes_in,
-            ),
-            (
-                "bitflow_net_bytes_out_total",
-                "Response bytes written to the wire.",
-                sv.net_bytes_out,
-            ),
-            (
-                "bitflow_net_accept_errors_total",
-                "Accept-loop accept(2) errors (descriptor exhaustion included).",
-                sv.govern.net_accept_errors,
-            ),
-            (
-                "bitflow_net_spawn_sheds_total",
-                "Connections shed because a handler thread could not be spawned.",
-                sv.govern.net_spawn_sheds,
-            ),
-        ];
-        for (name, help, value) in net_counters {
-            family(
-                &mut s,
-                name,
-                help,
-                "counter",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-
-        let mem_gauges: [(&str, &str, u64); 3] = [
-            (
-                "bitflow_mem_used_bytes",
-                "Bytes currently held by live memory leases.",
-                sv.govern.mem_used_bytes,
-            ),
-            (
-                "bitflow_mem_budget_bytes",
-                "The resource governor's global byte budget (0 = unbudgeted).",
-                sv.govern.mem_budget_bytes,
-            ),
-            (
-                "bitflow_mem_leases",
-                "Live memory leases outstanding.",
-                sv.govern.mem_leases,
-            ),
-        ];
-        for (name, help, value) in mem_gauges {
-            family(
-                &mut s,
-                name,
-                help,
-                "gauge",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-        family(
-            &mut s,
-            "bitflow_degradation_state",
-            "Brownout state machine: 0 Normal, 1 Brownout, 2 Shed.",
-            "gauge",
-            vec![(mlab.clone(), sv.govern.degradation_state.to_string())],
-        );
+        serve_families(&mut s, &self.serve, &mlab);
 
         s
     }
@@ -546,9 +346,10 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use crate::serve::{ServeSnapshot, SizeBucket, StageSnapshot};
     use crate::snapshot::{
-        BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound,
-        OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, SCHEMA_VERSION,
+        BatchSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpSnapshot,
+        PerfSnapshot, SCHEMA_VERSION,
     };
     use crate::OpKind;
 
@@ -630,15 +431,13 @@ mod tests {
                 net_malformed_requests: 5,
                 net_bytes_in: 123_456,
                 net_bytes_out: 65_432,
-                govern: GovernSnapshot {
-                    rejected_memory: 4,
-                    net_accept_errors: 3,
-                    net_spawn_sheds: 2,
-                    mem_used_bytes: 2_097_152,
-                    mem_budget_bytes: 8_388_608,
-                    mem_leases: 5,
-                    degradation_state: 2,
-                },
+                rejected_memory: 4,
+                net_accept_errors: 3,
+                net_spawn_sheds: 2,
+                mem_used_bytes: 2_097_152,
+                mem_budget_bytes: 8_388_608,
+                mem_leases: 5,
+                degradation_state: 2,
                 stage_queue_wait: StageSnapshot {
                     count: 12,
                     total_ns: 48_000,

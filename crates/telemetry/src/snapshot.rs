@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{OpKind, TileStats};
+use crate::serve::ServeSnapshot;
 
 /// Schema version written into every [`MetricsSnapshot`] (and, via the
 /// bench crate, every `results/*.json` artifact). v1 was the PR-3 snapshot
@@ -16,29 +17,14 @@ use crate::metrics::{OpKind, TileStats};
 /// micro-batch-size histogram; v5 added the network front-end counters
 /// (`net_*`: connections, timeouts, malformed requests, byte totals);
 /// v6 added the request-lifecycle stage histograms
-/// ([`StageSnapshot`]: queue-wait, batch-wait, exec, write);
-/// v7 added the resource-governance counters ([`GovernSnapshot`]:
-/// memory-pressure rejections, byte-budget gauges, degradation state,
-/// accept-error and spawn-shed counters).
+/// ([`StageSnapshot`](crate::StageSnapshot): queue-wait, batch-wait, exec, write);
+/// v7 added the resource-governance counters (memory-pressure
+/// rejections, byte-budget gauges, degradation state, accept-error and
+/// spawn-shed counters) under a nested `govern` object; v8 moved them to
+/// the top level of [`ServeSnapshot`], one key per row of the serving
+/// counter table.
 /// Readers must refuse to overwrite files written by a *newer* schema.
-pub const SCHEMA_VERSION: u32 = 7;
-
-/// Upper edges of the served-batch-size histogram buckets. Batches larger
-/// than the last edge land in the implicit overflow bucket
-/// (`le == u64::MAX` in [`SizeBucket`] terms).
-pub const BATCH_SIZE_EDGES: [u64; 6] = [1, 2, 4, 8, 16, 32];
-
-/// One non-empty batch-size-histogram bucket: `count` served micro-batches
-/// of `≤ le` requests (and more than the previous bucket's edge). Sparse
-/// and non-cumulative, like [`HistBucket`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SizeBucket {
-    /// Inclusive upper edge of the bucket (requests per batch);
-    /// `u64::MAX` marks the overflow bucket.
-    pub le: u64,
-    /// Batches that landed in this bucket.
-    pub count: u64,
-}
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// One non-empty latency-histogram bucket: `count` samples with values
 /// `≤ le_ns` (and greater than the previous bucket's edge). Sparse — only
@@ -50,81 +36,6 @@ pub struct HistBucket {
     pub le_ns: u64,
     /// Samples that landed in this bucket.
     pub count: u64,
-}
-
-/// One request-lifecycle stage's latency distribution: how many requests
-/// passed through the stage, the summed nanoseconds, and the occupied
-/// histogram buckets (sparse, non-cumulative, same bucketing as
-/// [`HistBucket`] op histograms). Always on — the serving runtime records
-/// these whether or not tracing is enabled.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct StageSnapshot {
-    /// Requests that passed through the stage.
-    pub count: u64,
-    /// Summed stage time, nanoseconds.
-    pub total_ns: u64,
-    /// Occupied latency-histogram buckets (sparse, non-cumulative).
-    pub buckets: Vec<HistBucket>,
-}
-
-// Manual impl so a v5 snapshot missing the stage fields (which the
-// vendored serde surfaces as `Null`) reads back as an empty stage — the
-// vendored derive has no `#[serde(default)]`.
-impl Deserialize for StageSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            count: Deserialize::from_value(v.field("count")?)?,
-            total_ns: Deserialize::from_value(v.field("total_ns")?)?,
-            buckets: Deserialize::from_value(v.field("buckets")?)?,
-        })
-    }
-}
-
-/// Resource-governance counters and gauges: the memory-budget and
-/// degradation-state face of the serving runtime, plus the accept-loop
-/// failure counters. Grouped so a v6 snapshot (no `govern` key, surfaced
-/// by the vendored serde as `Null`) reads back as all-zero defaults.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct GovernSnapshot {
-    /// Submissions refused because a byte budget (global or per-tenant)
-    /// could not cover the request.
-    pub rejected_memory: u64,
-    /// Accept-loop `accept(2)` errors (EMFILE/ENFILE descriptor
-    /// exhaustion included).
-    pub net_accept_errors: u64,
-    /// Connections shed because their handler thread could not be
-    /// spawned (counted apart from cap rejections).
-    pub net_spawn_sheds: u64,
-    /// Bytes currently held by live memory leases (gauge).
-    pub mem_used_bytes: u64,
-    /// The governor's global byte budget; 0 = unbudgeted (gauge).
-    pub mem_budget_bytes: u64,
-    /// Live memory leases outstanding (gauge).
-    pub mem_leases: u64,
-    /// Brownout state machine: 0 = Normal, 1 = Brownout, 2 = Shed (gauge).
-    pub degradation_state: u64,
-}
-
-// Manual impl so a v6 snapshot missing the `govern` field reads back as
-// zeroed governance counters — same pattern as [`StageSnapshot`].
-impl Deserialize for GovernSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            rejected_memory: Deserialize::from_value(v.field("rejected_memory")?)?,
-            net_accept_errors: Deserialize::from_value(v.field("net_accept_errors")?)?,
-            net_spawn_sheds: Deserialize::from_value(v.field("net_spawn_sheds")?)?,
-            mem_used_bytes: Deserialize::from_value(v.field("mem_used_bytes")?)?,
-            mem_budget_bytes: Deserialize::from_value(v.field("mem_budget_bytes")?)?,
-            mem_leases: Deserialize::from_value(v.field("mem_leases")?)?,
-            degradation_state: Deserialize::from_value(v.field("degradation_state")?)?,
-        })
-    }
 }
 
 /// Roofline verdict for one operator: which peak it is closer to.
@@ -262,95 +173,6 @@ pub struct BatchSnapshot {
     pub queued_items: u64,
 }
 
-/// Serving-runtime counters from `bitflow-serve`: admission, shedding,
-/// deadlines, and worker health. All zero for a model served without the
-/// runtime.
-///
-/// Conservation law (checked by the soak test): `submitted` equals
-/// `accepted` plus the four `rejected_*` counters, and — once the server
-/// has drained — `accepted` equals `completed + failed + shed_deadline +
-/// deadline_missed + cancelled`. In a multi-model server each model's
-/// gauges obey the law independently.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeSnapshot {
-    /// Requests offered to `submit` (admitted or not).
-    pub submitted: u64,
-    /// Requests admitted into the queue.
-    pub accepted: u64,
-    /// Requests that completed with logits.
-    pub completed: u64,
-    /// Requests that resolved to a typed inference error (including
-    /// caught worker panics).
-    pub failed: u64,
-    /// Submissions refused because the queue was at capacity.
-    pub rejected_queue_full: u64,
-    /// Submissions refused while the circuit breaker was shedding load.
-    pub rejected_shedding: u64,
-    /// Submissions refused while the server was draining for shutdown.
-    pub rejected_draining: u64,
-    /// Submissions refused because the target model's admission quota was
-    /// exhausted (multi-model tenancy).
-    pub rejected_quota: u64,
-    /// Admitted requests dropped *before* running because their deadline
-    /// budget was already unmeetable (deadline-aware shedding).
-    pub shed_deadline: u64,
-    /// Admitted requests cancelled *mid-run* by their deadline.
-    pub deadline_missed: u64,
-    /// Admitted requests cancelled by their caller.
-    pub cancelled: u64,
-    /// Panics caught and isolated inside workers.
-    pub worker_panics: u64,
-    /// Worker loops restarted after a panic escaped the per-request
-    /// backstop.
-    pub worker_restarts: u64,
-    /// Circuit-breaker trips into the shedding state.
-    pub breaker_trips: u64,
-    /// Requests waiting in the admission queue right now (gauge).
-    pub queue_depth: u64,
-    /// Highest queue depth observed.
-    pub queue_depth_max: u64,
-    /// Coalesced micro-batches served (a batch of one is the unbatched
-    /// fast path).
-    pub batches: u64,
-    /// Requests served across all micro-batches (`batch_items / batches`
-    /// is the mean served batch size).
-    pub batch_items: u64,
-    /// Largest micro-batch served.
-    pub batch_size_max: u64,
-    /// Served-batch-size histogram over [`BATCH_SIZE_EDGES`] (sparse,
-    /// non-cumulative; `le == u64::MAX` is the overflow bucket).
-    pub batch_size_hist: Vec<SizeBucket>,
-    /// TCP connections accepted by the network front-end.
-    pub net_accepted_conns: u64,
-    /// TCP connections refused at the accept loop (connection cap).
-    pub net_rejected_conns: u64,
-    /// Connections dropped because a read deadline expired (includes the
-    /// slowloris header timeout).
-    pub net_timeouts_read: u64,
-    /// Connections dropped because a response write stalled past its
-    /// deadline.
-    pub net_timeouts_write: u64,
-    /// Requests refused as malformed before reaching admission (bad
-    /// request line, oversized headers or body, undecodable tensor).
-    pub net_malformed_requests: u64,
-    /// Request bytes read off the wire (headers + bodies).
-    pub net_bytes_in: u64,
-    /// Response bytes written to the wire (including partial writes).
-    pub net_bytes_out: u64,
-    /// Resource-governance counters and gauges (memory budgets, brownout
-    /// state, accept-loop failures).
-    pub govern: GovernSnapshot,
-    /// Admission-queue wait distribution (enqueue → worker pop).
-    pub stage_queue_wait: StageSnapshot,
-    /// Batch-formation wait distribution (pop → micro-batch exec start:
-    /// the coalescing window plus dispatch).
-    pub stage_batch_wait: StageSnapshot,
-    /// Engine execution distribution (per request, inside its batch).
-    pub stage_exec: StageSnapshot,
-    /// Response-write distribution (serialize + write to the wire).
-    pub stage_write: StageSnapshot,
-}
-
 /// Everything a model's telemetry knows, frozen at one instant.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -416,6 +238,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{SizeBucket, StageSnapshot};
 
     fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
@@ -543,15 +366,13 @@ mod tests {
                 net_malformed_requests: 3,
                 net_bytes_in: 40_960,
                 net_bytes_out: 8_192,
-                govern: GovernSnapshot {
-                    rejected_memory: 2,
-                    net_accept_errors: 1,
-                    net_spawn_sheds: 1,
-                    mem_used_bytes: 1_048_576,
-                    mem_budget_bytes: 4_194_304,
-                    mem_leases: 3,
-                    degradation_state: 1,
-                },
+                rejected_memory: 2,
+                net_accept_errors: 1,
+                net_spawn_sheds: 1,
+                mem_used_bytes: 1_048_576,
+                mem_budget_bytes: 4_194_304,
+                mem_leases: 3,
+                degradation_state: 1,
                 stage_queue_wait: StageSnapshot {
                     count: 7,
                     total_ns: 70_000,
@@ -615,31 +436,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v5_serve_snapshot_without_stage_fields_still_parses() {
-        let mut v = sample().serve.to_value();
-        match &mut v {
-            serde::Value::Object(fields) => fields.retain(|(k, _)| !k.starts_with("stage_")),
-            other => panic!("expected object, found {}", other.kind()),
+    /// Every key path of `v` (`a.b` into objects, `a[]` into arrays),
+    /// sorted.
+    fn key_paths(v: &serde::Value, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
+        match v {
+            serde::Value::Object(fields) => {
+                for (k, v) in fields {
+                    let path = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    key_paths(v, &path, out);
+                    out.insert(path);
+                }
+            }
+            serde::Value::Array(items) => {
+                for v in items {
+                    key_paths(v, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {}
         }
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: ServeSnapshot = serde_json::from_str(&json).expect("v5 JSON parses");
-        assert_eq!(back.stage_queue_wait, StageSnapshot::default());
-        assert_eq!(back.net_bytes_in, 40_960);
     }
 
     #[test]
-    fn v6_serve_snapshot_without_govern_field_still_parses() {
-        let mut v = sample().serve.to_value();
-        match &mut v {
-            serde::Value::Object(fields) => fields.retain(|(k, _)| k != "govern"),
-            other => panic!("expected object, found {}", other.kind()),
-        }
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: ServeSnapshot = serde_json::from_str(&json).expect("v6 JSON parses");
-        assert_eq!(back.govern, GovernSnapshot::default());
-        assert_eq!(back.net_bytes_in, 40_960);
-        assert_eq!(back.stage_queue_wait.count, 7);
+    fn schema_version_pins_the_key_set() {
+        // Changing the key set of a snapshot is a schema change: bump
+        // SCHEMA_VERSION, then re-pin the keys here together with it.
+        const PINNED_VERSION: u32 = 8;
+        const PINNED_KEYS: &[&str] = &[
+            "batch",
+            "batch.batches",
+            "batch.chunks",
+            "batch.failed_items",
+            "batch.items",
+            "batch.max_batch",
+            "batch.queued_items",
+            "machine",
+            "machine.bw_source",
+            "machine.features",
+            "machine.freq_ghz",
+            "machine.freq_source",
+            "machine.logical_cores",
+            "machine.peak_gb_per_s",
+            "machine.peak_gops",
+            "machine.simd_width_bits",
+            "model",
+            "ops",
+            "ops[].bit_ops_per_call",
+            "ops[].bound",
+            "ops[].bytes_read_per_call",
+            "ops[].bytes_written_per_call",
+            "ops[].calls",
+            "ops[].gb_per_s",
+            "ops[].gops",
+            "ops[].hist",
+            "ops[].hist[].count",
+            "ops[].hist[].le_ns",
+            "ops[].kind",
+            "ops[].max_ns",
+            "ops[].mean_ns",
+            "ops[].name",
+            "ops[].p50_ns",
+            "ops[].p95_ns",
+            "ops[].p99_ns",
+            "ops[].pct_of_peak_bandwidth",
+            "ops[].pct_of_peak_compute",
+            "ops[].tile",
+            "ops[].tile.k",
+            "ops[].tile.m",
+            "ops[].tile.n_words",
+            "ops[].tile.par_k_chunk",
+            "ops[].tile.quads",
+            "ops[].tile.tail",
+            "ops[].total_ns",
+            "perf",
+            "perf.branch_misses",
+            "perf.cycles",
+            "perf.instructions",
+            "perf.ipc",
+            "perf.llc_misses",
+            "perf.sampled_requests",
+            "perf.status",
+            "requests",
+            "schema_version",
+            "serve",
+            "serve.accepted",
+            "serve.batch_items",
+            "serve.batch_size_hist",
+            "serve.batch_size_hist[].count",
+            "serve.batch_size_hist[].le",
+            "serve.batch_size_max",
+            "serve.batches",
+            "serve.breaker_trips",
+            "serve.cancelled",
+            "serve.completed",
+            "serve.deadline_missed",
+            "serve.degradation_state",
+            "serve.failed",
+            "serve.mem_budget_bytes",
+            "serve.mem_leases",
+            "serve.mem_used_bytes",
+            "serve.net_accept_errors",
+            "serve.net_accepted_conns",
+            "serve.net_bytes_in",
+            "serve.net_bytes_out",
+            "serve.net_malformed_requests",
+            "serve.net_rejected_conns",
+            "serve.net_spawn_sheds",
+            "serve.net_timeouts_read",
+            "serve.net_timeouts_write",
+            "serve.queue_depth",
+            "serve.queue_depth_max",
+            "serve.rejected_draining",
+            "serve.rejected_memory",
+            "serve.rejected_queue_full",
+            "serve.rejected_quota",
+            "serve.rejected_shedding",
+            "serve.shed_deadline",
+            "serve.stage_batch_wait",
+            "serve.stage_batch_wait.buckets",
+            "serve.stage_batch_wait.buckets[].count",
+            "serve.stage_batch_wait.buckets[].le_ns",
+            "serve.stage_batch_wait.count",
+            "serve.stage_batch_wait.total_ns",
+            "serve.stage_exec",
+            "serve.stage_exec.buckets",
+            "serve.stage_exec.buckets[].count",
+            "serve.stage_exec.buckets[].le_ns",
+            "serve.stage_exec.count",
+            "serve.stage_exec.total_ns",
+            "serve.stage_queue_wait",
+            "serve.stage_queue_wait.buckets",
+            "serve.stage_queue_wait.buckets[].count",
+            "serve.stage_queue_wait.buckets[].le_ns",
+            "serve.stage_queue_wait.count",
+            "serve.stage_queue_wait.total_ns",
+            "serve.stage_write",
+            "serve.stage_write.buckets",
+            "serve.stage_write.count",
+            "serve.stage_write.total_ns",
+            "serve.submitted",
+            "serve.worker_panics",
+            "serve.worker_restarts",
+        ];
+        let mut paths = std::collections::BTreeSet::new();
+        key_paths(&sample().to_value(), "", &mut paths);
+        let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+        assert_eq!(
+            paths, PINNED_KEYS,
+            "the snapshot key set changed: bump SCHEMA_VERSION and re-pin"
+        );
+        assert_eq!(
+            SCHEMA_VERSION, PINNED_VERSION,
+            "SCHEMA_VERSION changed: re-pin the key set it stands for"
+        );
     }
 
     #[test]

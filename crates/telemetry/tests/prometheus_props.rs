@@ -13,8 +13,8 @@
 //!    the two exporters can never drift apart silently.
 
 use bitflow_telemetry::{
-    BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpKind,
-    OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
+    BatchSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpKind, OpSnapshot,
+    PerfSnapshot, RowKind, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
     SCHEMA_VERSION,
 };
 use proptest::prelude::*;
@@ -331,15 +331,13 @@ fn random_snapshot(seed: u64) -> MetricsSnapshot {
                 net_malformed_requests: rng.gen_range(0..10_000),
                 net_bytes_in: rng.gen_range(0..u32::MAX as u64),
                 net_bytes_out: rng.gen_range(0..u32::MAX as u64),
-                govern: GovernSnapshot {
-                    rejected_memory: rng.gen_range(0..10_000),
-                    net_accept_errors: rng.gen_range(0..10_000),
-                    net_spawn_sheds: rng.gen_range(0..10_000),
-                    mem_used_bytes: rng.gen_range(0..u32::MAX as u64),
-                    mem_budget_bytes: rng.gen_range(0..u32::MAX as u64),
-                    mem_leases: rng.gen_range(0..10_000),
-                    degradation_state: rng.gen_range(0..3),
-                },
+                rejected_memory: rng.gen_range(0..10_000),
+                net_accept_errors: rng.gen_range(0..10_000),
+                net_spawn_sheds: rng.gen_range(0..10_000),
+                mem_used_bytes: rng.gen_range(0..u32::MAX as u64),
+                mem_budget_bytes: rng.gen_range(0..u32::MAX as u64),
+                mem_leases: rng.gen_range(0..10_000),
+                degradation_state: rng.gen_range(0..3),
                 stage_queue_wait: random_stage(&mut rng),
                 stage_batch_wait: random_stage(&mut rng),
                 stage_exec: random_stage(&mut rng),
@@ -349,19 +347,45 @@ fn random_snapshot(seed: u64) -> MetricsSnapshot {
     }
 }
 
-/// The value of the unique `bitflow_serve_rejected_total` series with the
-/// given `reason` label.
-fn rejected_value(series: &[Series], reason: &str) -> Option<f64> {
-    let mut it = series.iter().filter(|s| {
-        s.name == "bitflow_serve_rejected_total"
-            && s.labels.iter().any(|(k, v)| k == "reason" && v == reason)
-    });
+/// The value of the unique series `name` carrying label `key="value"`.
+fn labelled_value(series: &[Series], name: &str, key: &str, value: &str) -> Option<f64> {
+    let mut it = series
+        .iter()
+        .filter(|s| s.name == name && s.labels.iter().any(|(k, v)| k == key && v == value));
     let found = it.next()?;
     assert!(
         it.next().is_none(),
-        "duplicate rejected series for {reason}"
+        "duplicate series for {name}{{{key}=\"{value}\"}}"
     );
     Some(found.value)
+}
+
+/// Asserts that the histogram family `name`'s buckets have strictly
+/// increasing `le` edges, cumulative counts, and end in `+Inf == count`.
+fn check_histogram(buckets: &[&Series], name: &str, count: u64) -> Result<(), TestCaseError> {
+    let mut prev_le = -1.0f64;
+    let mut prev_cum = -1.0f64;
+    for b in buckets {
+        let le = &b
+            .labels
+            .iter()
+            .find(|(k, _)| k == "le")
+            .expect("bucket has le")
+            .1;
+        let le = if le == "+Inf" {
+            f64::INFINITY
+        } else {
+            le.parse::<f64>().expect("numeric le")
+        };
+        prop_assert!(le > prev_le, "le not increasing for {}", name);
+        prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", name);
+        prev_le = le;
+        prev_cum = b.value;
+    }
+    let last = buckets.last().expect("+Inf bucket always present");
+    prop_assert!(prev_le.is_infinite(), "{} not terminated by +Inf", name);
+    prop_assert_eq!(last.value, count as f64, "{} +Inf != count", name);
+    Ok(())
 }
 
 /// The value of the unique series `name` restricted to label `op="..."`.
@@ -413,156 +437,56 @@ proptest! {
             Some(back.machine.logical_cores as f64)
         );
 
-        // Serving counters round-trip through both exporters too.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_submitted_total", None),
-            Some(back.serve.submitted as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_accepted_total", None),
-            Some(back.serve.accepted as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_completed_total", None),
-            Some(back.serve.completed as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_deadline_shed_total", None),
-            Some(back.serve.shed_deadline as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_worker_restarts_total", None),
-            Some(back.serve.worker_restarts as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_queue_depth", None),
-            Some(back.serve.queue_depth as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "queue_full"),
-            Some(back.serve.rejected_queue_full as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "shedding"),
-            Some(back.serve.rejected_shedding as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "draining"),
-            Some(back.serve.rejected_draining as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "quota"),
-            Some(back.serve.rejected_quota as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "memory"),
-            Some(back.serve.govern.rejected_memory as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_batch_size_count", None),
-            Some(back.serve.batches as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_batch_size_sum", None),
-            Some(back.serve.batch_items as f64)
-        );
-
-        // Network front-end counters round-trip through both exporters.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_accepted_conns_total", None),
-            Some(back.serve.net_accepted_conns as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_rejected_conns_total", None),
-            Some(back.serve.net_rejected_conns as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_timeouts_read_total", None),
-            Some(back.serve.net_timeouts_read as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_timeouts_write_total", None),
-            Some(back.serve.net_timeouts_write as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_malformed_requests_total", None),
-            Some(back.serve.net_malformed_requests as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_bytes_in_total", None),
-            Some(back.serve.net_bytes_in as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_bytes_out_total", None),
-            Some(back.serve.net_bytes_out as f64)
-        );
-
-        // Resource-governance counters and gauges round-trip too.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_accept_errors_total", None),
-            Some(back.serve.govern.net_accept_errors as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_spawn_sheds_total", None),
-            Some(back.serve.govern.net_spawn_sheds as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_used_bytes", None),
-            Some(back.serve.govern.mem_used_bytes as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_budget_bytes", None),
-            Some(back.serve.govern.mem_budget_bytes as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_leases", None),
-            Some(back.serve.govern.mem_leases as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_degradation_state", None),
-            Some(back.serve.govern.degradation_state as f64)
-        );
-
-        // Stage histograms: cumulative buckets terminated by +Inf, with
-        // _sum/_count round-tripping through both exporters.
-        let stages: [(&str, &StageSnapshot); 4] = [
-            ("bitflow_stage_queue_wait_ns", &back.serve.stage_queue_wait),
-            ("bitflow_stage_batch_wait_ns", &back.serve.stage_batch_wait),
-            ("bitflow_stage_exec_ns", &back.serve.stage_exec),
-            ("bitflow_stage_write_ns", &back.serve.stage_write),
-        ];
-        for (name, stage) in stages {
-            let buckets: Vec<&Series> = series.iter().filter(|s| s.name == name).collect();
-            let mut prev_le = -1.0f64;
-            let mut prev_cum = -1.0f64;
-            for b in &buckets {
-                let le = &b
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "le")
-                    .expect("bucket has le")
-                    .1;
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>().expect("numeric le")
-                };
-                prop_assert!(le > prev_le, "le not increasing for {}", name);
-                prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", name);
-                prev_le = le;
-                prev_cum = b.value;
+        // Every row of the serving-counter table round-trips through both
+        // exporters: the series its family and label name in the text
+        // equals the JSON value under its field name.
+        let tree: serde::Value = serde_json::from_str(&json).expect("parse");
+        let serve = tree.field("serve").expect("snapshot is an object");
+        let json_u64 = |v: &serde::Value| match v {
+            serde::Value::UInt(n) => *n as f64,
+            other => panic!("expected an unsigned integer, found {}", other.kind()),
+        };
+        for row in ServeSnapshot::ROWS {
+            let Some(name) = row.family else { continue };
+            let field = serve.field(row.field).expect("serve is an object");
+            match row.kind {
+                RowKind::Stage => {
+                    let stage: StageSnapshot = serde::Deserialize::from_value(field)
+                        .expect("stage histogram");
+                    let buckets: Vec<&Series> =
+                        series.iter().filter(|s| s.name == name).collect();
+                    check_histogram(&buckets, name, stage.count)?;
+                    prop_assert_eq!(
+                        series_value(&series, &format!("{name}_count"), None),
+                        Some(stage.count as f64)
+                    );
+                    prop_assert_eq!(
+                        series_value(&series, &format!("{name}_sum"), None),
+                        Some(stage.total_ns as f64)
+                    );
+                }
+                RowKind::BatchSizes => {
+                    // The histogram's count and sum are the `batches` and
+                    // `batch_items` rows.
+                    let count = serve.field("batches").expect("serve is an object");
+                    let sum = serve.field("batch_items").expect("serve is an object");
+                    prop_assert_eq!(
+                        series_value(&series, &format!("{name}_count"), None),
+                        Some(json_u64(count))
+                    );
+                    prop_assert_eq!(
+                        series_value(&series, &format!("{name}_sum"), None),
+                        Some(json_u64(sum))
+                    );
+                }
+                _ => {
+                    let text = match row.label {
+                        Some((key, value)) => labelled_value(&series, name, key, value),
+                        None => series_value(&series, name, None),
+                    };
+                    prop_assert_eq!(text, Some(json_u64(field)), "row {}", row.field);
+                }
             }
-            let last = buckets.last().expect("+Inf bucket always present");
-            prop_assert!(prev_le.is_infinite(), "{} not terminated by +Inf", name);
-            prop_assert_eq!(last.value, stage.count as f64, "{} +Inf != count", name);
-            prop_assert_eq!(
-                series_value(&series, &format!("{name}_count"), None),
-                Some(stage.count as f64)
-            );
-            prop_assert_eq!(
-                series_value(&series, &format!("{name}_sum"), None),
-                Some(stage.total_ns as f64)
-            );
         }
 
         for op in &back.ops {
@@ -585,27 +509,7 @@ proptest! {
                         && s.labels.iter().any(|(k, v)| k == "op" && v == &op.name)
                 })
                 .collect();
-            let mut prev_le = -1.0f64;
-            let mut prev_cum = -1.0f64;
-            for b in &buckets {
-                let le = &b
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "le")
-                    .expect("bucket has le")
-                    .1;
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>().expect("numeric le")
-                };
-                prop_assert!(le > prev_le, "le not increasing for {}", op.name);
-                prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", op.name);
-                prev_le = le;
-                prev_cum = b.value;
-            }
-            let last = buckets.last().expect("+Inf bucket always present");
-            prop_assert_eq!(last.value, op.calls as f64);
+            check_histogram(&buckets, &op.name, op.calls)?;
             prop_assert_eq!(
                 series_value(&series, "bitflow_op_latency_ns_count", Some(&op.name)),
                 Some(op.calls as f64)

@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh --fast   # skip the release builds of the workspace and
-#                             # of perfbench/ (lints + debug tests)
+#                             # of perfbench/ (lints, a type-check of
+#                             # perfbench/, debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), the chaos
@@ -71,6 +72,9 @@ if [[ $fast -eq 0 ]]; then
     cargo build --release
     echo "==> benchmark crate builds against the engine API it calls"
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
+else
+    echo "==> benchmark crate type-checks against the engine API it calls"
+    cargo check --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test -q (tier-1: root suite incl. differential/golden/no-alloc harnesses)"

@@ -13,9 +13,8 @@
 //!   fault).
 //! * **Counters conserve, per tenant, including the new column.** Each
 //!   tenant's gauges reconcile exactly with caller-side tallies and obey
-//!   `submitted == accepted + rejected_*` with `rejected_memory` in the
-//!   sum, and `accepted == completed + failed + shed + missed +
-//!   cancelled` after drain.
+//!   `submitted == accepted + rejected()` (`rejected_memory` is one of
+//!   its rows), and `accepted == resolved()` after drain.
 //! * **Leases balance.** After shutdown the only accounted bytes left per
 //!   tenant are its pinned model weights: exactly one live lease, sized
 //!   `float_model_bytes + packed_model_bytes`.
@@ -255,11 +254,7 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
 
     for (which, snap) in [(0usize, &snap_hi), (1usize, &snap_lo)] {
         let tally = &tallies[which];
-        let rejected = snap.rejected_queue_full
-            + snap.rejected_shedding
-            + snap.rejected_draining
-            + snap.rejected_quota
-            + snap.govern.rejected_memory;
+        let rejected = snap.rejected();
         assert_eq!(snap.submitted, submitted[which], "tenant {which} submitted");
         assert_eq!(snap.completed, tally.completed, "tenant {which} completed");
         assert_eq!(snap.failed, tally.failed, "tenant {which} failed");
@@ -268,11 +263,7 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
         assert_eq!(snap.submitted, snap.accepted + rejected, "tenant {which}");
         assert_eq!(
             snap.accepted,
-            snap.completed
-                + snap.failed
-                + snap.shed_deadline
-                + snap.deadline_missed
-                + snap.cancelled,
+            snap.resolved(),
             "tenant {which} admitted requests all resolved exactly once"
         );
         // Allocation failures are typed outcomes, not faults: nothing
@@ -289,30 +280,28 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
     // weights. After the drop (lo's snapshot): everything, weights
     // included, was returned — no leak, no double release.
     assert_eq!(
-        snap_hi.govern.mem_leases, 1,
+        snap_hi.mem_leases, 1,
         "hi: only the weight lease survives drain while the server lives"
     );
     assert_eq!(
-        snap_hi.govern.mem_used_bytes,
+        snap_hi.mem_used_bytes,
         weight_bytes(&model_hi),
         "hi: accounted bytes after drain are exactly the weights"
     );
     assert_eq!(
-        snap_lo.govern.mem_leases, 0,
+        snap_lo.mem_leases, 0,
         "lo: every lease returned once the server is gone"
     );
     assert_eq!(
-        snap_lo.govern.mem_used_bytes, 0,
+        snap_lo.mem_used_bytes, 0,
         "lo: accounted bytes return to zero once the server is gone"
     );
 
     // The chaos domain must actually have fired: injected reservation
     // failures surface as memory rejections (payload path) or request
     // failures (context path).
-    let injected = snap_hi.govern.rejected_memory
-        + snap_lo.govern.rejected_memory
-        + snap_hi.failed
-        + snap_lo.failed;
+    let injected =
+        snap_hi.rejected_memory + snap_lo.rejected_memory + snap_hi.failed + snap_lo.failed;
     assert!(injected > 0, "allocation-failure chaos never fired");
 
     if n >= 1000 {
@@ -321,7 +310,7 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
             "sustained overload never left Normal: the soak is not exercising brownout"
         );
         assert!(
-            snap_lo.govern.rejected_memory > 0,
+            snap_lo.rejected_memory > 0,
             "the Low-priority tenant was never shed under pressure"
         );
     }
@@ -394,7 +383,6 @@ fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
             .entry()
             .gauges()
             .snapshot()
-            .govern
             .degradation_state,
         DegradationState::Brownout.as_u64(),
         "state gauge mirrors to every tenant"
@@ -420,17 +408,12 @@ fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
         .gauges()
         .snapshot();
     assert_eq!(
-        snap_lo.govern.rejected_memory, 2,
+        snap_lo.rejected_memory, 2,
         "both shed Low-priority submissions counted as memory rejections"
     );
     assert_eq!(
         snap_lo.submitted,
-        snap_lo.accepted
-            + snap_lo.rejected_queue_full
-            + snap_lo.rejected_shedding
-            + snap_lo.rejected_draining
-            + snap_lo.rejected_quota
-            + snap_lo.govern.rejected_memory,
+        snap_lo.accepted + snap_lo.rejected(),
         "Low tenant conserves with the memory column"
     );
     drop(server);

@@ -318,10 +318,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
     // --- Per-tenant conservation --------------------------------------
     for (tenant, snap) in [(0usize, &snap_a), (1usize, &snap_b)] {
         let [ok, rejected, deadline, failed, broken] = tallies[tenant];
-        let rejected_gauge = snap.rejected_queue_full
-            + snap.rejected_shedding
-            + snap.rejected_draining
-            + snap.rejected_quota;
+        let rejected_gauge = snap.rejected();
 
         // The serve-layer law, exact, per tenant.
         assert_eq!(
@@ -331,11 +328,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
         );
         assert_eq!(
             snap.accepted,
-            snap.completed
-                + snap.failed
-                + snap.shed_deadline
-                + snap.deadline_missed
-                + snap.cancelled,
+            snap.resolved(),
             "tenant {tenant}: every admitted request resolved exactly once"
         );
         assert_eq!(snap.worker_panics, snap.failed, "tenant {tenant}: panics");

@@ -206,28 +206,11 @@ fn chaos_soak_conserves_every_request_and_preserves_logits() {
         tally.deadline,
         "deadline outcomes split across shed/missed must sum to the client view"
     );
-    assert_eq!(
-        snap.rejected_queue_full
-            + snap.rejected_shedding
-            + snap.rejected_draining
-            + snap.govern.rejected_memory,
-        tally.rejected
-    );
+    assert_eq!(snap.rejected(), tally.rejected);
 
-    // The ServeSnapshot conservation law (rejected_* includes the
-    // resource governor's memory column).
-    assert_eq!(
-        snap.submitted,
-        snap.accepted
-            + snap.rejected_queue_full
-            + snap.rejected_shedding
-            + snap.rejected_draining
-            + snap.govern.rejected_memory
-    );
-    assert_eq!(
-        snap.accepted,
-        snap.completed + snap.failed + snap.shed_deadline + snap.deadline_missed + snap.cancelled
-    );
+    // The ServeSnapshot conservation law.
+    assert_eq!(snap.submitted, snap.accepted + snap.rejected());
+    assert_eq!(snap.accepted, snap.resolved());
     assert_eq!(snap.queue_depth, 0, "drain leaves the queue empty");
 
     // All inputs are well-formed, so the only failures are isolated
@@ -376,11 +359,7 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
 
     for (which, snap) in [(0usize, &snap_a), (1usize, &snap_b)] {
         let tally = &tallies[which];
-        let rejected = snap.rejected_queue_full
-            + snap.rejected_shedding
-            + snap.rejected_draining
-            + snap.rejected_quota
-            + snap.govern.rejected_memory;
+        let rejected = snap.rejected();
         assert_eq!(snap.submitted, submitted[which], "model {which} submitted");
         assert_eq!(snap.completed, tally.completed, "model {which} completed");
         assert_eq!(snap.failed, tally.failed, "model {which} failed");
@@ -395,11 +374,7 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
         assert_eq!(snap.submitted, snap.accepted + rejected, "model {which}");
         assert_eq!(
             snap.accepted,
-            snap.completed
-                + snap.failed
-                + snap.shed_deadline
-                + snap.deadline_missed
-                + snap.cancelled,
+            snap.resolved(),
             "model {which} admitted requests all resolved exactly once"
         );
         assert_eq!(snap.worker_panics, snap.failed, "model {which} panics");
