@@ -9,7 +9,10 @@
 //! * batch-norm → per-channel sign thresholds (folded);
 //! * every activation/scratch buffer *planned* (sized at the padded
 //!   geometry its consumer requires — zero-cost padding);
-//! * per-layer SIMD kernels chosen by the vector execution scheduler.
+//! * per-layer SIMD kernels chosen by the vector execution scheduler: each
+//!   conv's tier timed on a sample of its own geometry
+//!   ([`VectorScheduler::tune_conv`]), pooling on the §III-B channel rule,
+//!   FC on the widest tier.
 //!
 //! The compiled model is **immutable and `Send + Sync`**: one
 //! `Arc<CompiledModel>` serves any number of request threads. The mutable
@@ -43,7 +46,7 @@ use bitflow_ops::binary::{
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::scheduler::VectorScheduler;
+use bitflow_simd::scheduler::{ConvShape, ConvTuning, TierReason, VectorScheduler};
 use bitflow_telemetry::{
     MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, TileStats, TraceBuilder,
 };
@@ -298,6 +301,7 @@ enum RtOp {
         st: SignThresholds,
         stride: usize,
         level: SimdLevel,
+        why: TierReason,
         input: usize,
         scratch: usize,
         out: usize,
@@ -310,6 +314,7 @@ enum RtOp {
         bank: BitFilterBank,
         stride: usize,
         level: SimdLevel,
+        why: TierReason,
         input: usize,
         out: usize,
     },
@@ -368,6 +373,20 @@ impl RtOp {
             | RtOp::Pool { name, .. }
             | RtOp::FcSign { name, .. }
             | RtOp::FcOut { name, .. } => name,
+        }
+    }
+
+    /// The SIMD tier this op runs and why, for ops with a vector kernel.
+    fn tier(&self) -> Option<(SimdLevel, TierReason)> {
+        match self {
+            RtOp::ConvSign { level, why, .. } | RtOp::ConvFloat { level, why, .. } => {
+                Some((*level, why.clone()))
+            }
+            RtOp::Pool { level, .. } => Some((*level, TierReason::Paper)),
+            RtOp::FcSign { level, .. } | RtOp::FcOut { level, .. } => {
+                Some((*level, TierReason::Streaming))
+            }
+            RtOp::BinarizeInput { .. } | RtOp::BnSign { .. } | RtOp::Reflatten { .. } => None,
         }
     }
 }
@@ -485,8 +504,22 @@ impl CompiledModel {
                         LayerIo::Map { h, w, .. } => (h, w),
                         _ => unreachable!(),
                     };
-                    let level = scheduler.try_select(in_c)?.level;
                     let input = cur.bit_slot();
+                    let padded_w = match slot_specs[input] {
+                        SlotSpec::Bit { w, .. } => w,
+                        _ => unreachable!("conv input slot is pressed"),
+                    };
+                    let ConvTuning { level, why } = scheduler.tune_conv(
+                        bank.filter_words_all(),
+                        ConvShape {
+                            k: *k,
+                            kh: params.kh,
+                            kw: params.kw,
+                            c: in_c,
+                            padded_w,
+                            stride: params.stride,
+                        },
+                    )?;
                     let out = if fused.contains(name.as_str()) {
                         // Fused Conv→BN→Sign: the scratch is one window of
                         // dots (k floats); the sign epilogue compares the
@@ -507,6 +540,7 @@ impl CompiledModel {
                             st,
                             stride: params.stride,
                             level,
+                            why,
                             input,
                             scratch,
                             out,
@@ -533,6 +567,7 @@ impl CompiledModel {
                             bank,
                             stride: params.stride,
                             level,
+                            why,
                             input,
                             out: counts,
                         });
@@ -746,7 +781,8 @@ impl CompiledModel {
 
     /// Builds the static per-operator cost model: for each runtime op, how
     /// many effective xor+popcount bit-operations one call performs, how
-    /// many bytes it moves, and (for GEMM-backed ops) the bgemm tile shape.
+    /// many bytes it moves, (for GEMM-backed ops) the bgemm tile shape, and
+    /// the SIMD tier it runs with the reason that tier was chosen.
     /// Pure geometry — computed once here so the serving hot path records
     /// nothing but latency. Public so roofline/regression gates can compare
     /// fused vs. unfused bytes-moved without enabling telemetry.
@@ -851,10 +887,13 @@ impl CompiledModel {
                     ),
                     RtOp::FcOut { weights, .. } => (OpKind::FcOut, fc_cost(weights, None)),
                 };
+                let (tier, why) = op.tier().unzip();
                 OpDescriptor {
                     name: op.name().to_string(),
                     kind,
                     cost,
+                    tier,
+                    why,
                 }
             })
             .collect()
@@ -2113,5 +2152,44 @@ mod tests {
             &Tensor::random(spec.input, Layout::Nhwc, &mut rng),
         );
         assert_ne!(a, b, "different inputs should give different logits");
+    }
+
+    #[test]
+    fn conv_tiers_are_measured_and_runnable_on_this_host() {
+        let spec = crate::models::tiered_cnn();
+        let mut rng = StdRng::seed_from_u64(5);
+        let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+        let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+        let host = bitflow_simd::features();
+        let a = compile(&spec, &weights);
+        let convs: Vec<OpDescriptor> = a
+            .op_descriptors()
+            .into_iter()
+            .filter(|d| d.kind == OpKind::Conv)
+            .collect();
+        assert_eq!(convs.len(), 4, "tiered_cnn has one conv per §III-B tier");
+        for d in &convs {
+            let tier = d.tier.expect("every conv reports its tier");
+            assert!(tier.available(host), "{}: {tier} cannot run here", d.name);
+            match &d.why {
+                Some(TierReason::Measured { ns, paper }) => {
+                    assert_eq!(
+                        bitflow_simd::scheduler::pick(ns, *paper),
+                        tier,
+                        "{}",
+                        d.name
+                    );
+                }
+                other => panic!("{}: conv tier not measured: {other:?}", d.name),
+            }
+        }
+        // Tiers may differ between compiles; the logits may not.
+        let b = compile(&spec, &weights);
+        let run = |m: &CompiledModel| infer(m, &mut m.new_context(), &input);
+        let (la, lb) = (run(&a), run(&b));
+        assert_eq!(
+            la.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            lb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 }

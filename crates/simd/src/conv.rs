@@ -255,6 +255,12 @@ unsafe fn window_avx512_lookup(input: &[u64], filters: &[u64], g: WindowGeom, ou
 
 /// Evaluates one convolution window against all K filters at the requested
 /// SIMD level, falling back to scalar when the level is unavailable.
+///
+/// # Panics
+/// If the window reaches past `input` or the `out.len()` filters reach
+/// past `filters`. The SIMD tiers load through raw pointers, so these two
+/// O(1) checks are what keeps this safe function sound; they hold in
+/// release builds too.
 #[inline]
 pub fn conv_window(
     level: SimdLevel,
@@ -263,8 +269,25 @@ pub fn conv_window(
     g: WindowGeom,
     out: &mut [f32],
 ) {
-    debug_assert!(g.base + (g.kh - 1) * g.row_stride + g.row_len <= input.len());
-    debug_assert!(out.len() * g.kh * g.row_len <= filters.len());
+    let window_end =
+        g.kh.saturating_sub(1)
+            .checked_mul(g.row_stride)
+            .and_then(|rows| rows.checked_add(g.base))
+            .and_then(|start| start.checked_add(g.row_len));
+    assert!(
+        g.kh == 0 || window_end.is_some_and(|end| end <= input.len()),
+        "conv window reaches past the input ({} words)",
+        input.len()
+    );
+    let filter_words = out
+        .len()
+        .checked_mul(g.kh)
+        .and_then(|n| n.checked_mul(g.row_len));
+    assert!(
+        filter_words.is_some_and(|n| n <= filters.len()),
+        "conv filters reach past the bank ({} words)",
+        filters.len()
+    );
     #[cfg(target_arch = "x86_64")]
     {
         let f = crate::detect::features();
@@ -272,19 +295,19 @@ pub fn conv_window(
             SimdLevel::Unvectorized => window_unvectorized(input, filters, g, out),
             SimdLevel::Scalar => window_scalar(input, filters, g, out),
             SimdLevel::Sse if f.sse2 => {
-                // SAFETY: sse2 verified by the detector; geometry asserted.
+                // SAFETY: sse2 verified by the detector; bounds asserted above.
                 unsafe { window_sse(input, filters, g, out) }
             }
             SimdLevel::Avx2 if f.avx2 => {
-                // SAFETY: avx2 verified by the detector; geometry asserted.
+                // SAFETY: avx2 verified by the detector; bounds asserted above.
                 unsafe { window_avx2(input, filters, g, out) }
             }
             SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => {
-                // SAFETY: avx512f+vpopcntdq verified; geometry asserted.
+                // SAFETY: avx512f+vpopcntdq verified; bounds asserted above.
                 unsafe { window_avx512(input, filters, g, out) }
             }
             SimdLevel::Avx512 if f.avx512f && f.avx2 => {
-                // SAFETY: avx512f+avx2 verified; geometry asserted.
+                // SAFETY: avx512f+avx2 verified; bounds asserted above.
                 unsafe { window_avx512_lookup(input, filters, g, out) }
             }
             _ => window_scalar(input, filters, g, out),
@@ -319,6 +342,34 @@ mod tests {
                 (g.n_logical - 2 * pop as i32) as f32
             })
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "conv window reaches past the input")]
+    fn window_past_the_input_panics() {
+        let g = WindowGeom {
+            base: 64,
+            row_stride: 4,
+            row_len: 1,
+            kh: 1,
+            n_logical: 64,
+        };
+        let mut out = [0.0f32; 1];
+        conv_window(SimdLevel::Avx512, &[0u64; 4], &[0u64; 1], g, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv filters reach past the bank")]
+    fn filters_past_the_bank_panic() {
+        let g = WindowGeom {
+            base: 0,
+            row_stride: 4,
+            row_len: 4,
+            kh: 1,
+            n_logical: 256,
+        };
+        let mut out = [0.0f32; 2];
+        conv_window(SimdLevel::Avx512, &[0u64; 4], &[0u64; 4], g, &mut out);
     }
 
     #[test]

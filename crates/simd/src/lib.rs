@@ -10,10 +10,11 @@
 //!   (scalar `u64`, 128-bit SSE, 256-bit AVX2, 512-bit AVX-512), plus
 //!   OR-reduction kernels for binary max-pooling and fused
 //!   binarize+bit-pack kernels.
-//! * [`scheduler`] — the **vector execution scheduler**: given the channel
-//!   width of an operator and the detected hardware, select the optimal
-//!   computing kernel using the paper's rules (C ≡ 0 mod 512 → AVX-512,
-//!   mod 256 → AVX2, mod 128 → SSE, mod 32/64 → scalar words, else pad).
+//! * [`scheduler`] — the **vector execution scheduler**: the paper's
+//!   channel-width rules (C ≡ 0 mod 512 → AVX-512, mod 256 → AVX2,
+//!   mod 128 → SSE, mod 32/64 → scalar words, else pad), kept as the named
+//!   paper policy, and the per-layer tuner the engine uses for convs,
+//!   which times every available tier and keeps the fastest.
 //! * [`vec_u`] — Rust counterparts of the paper's `m128_u`/`m256_u`/`m512_u`
 //!   unions (Table II).
 //! * [`popcount`] — portable and SIMD population-count building blocks,

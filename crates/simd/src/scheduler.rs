@@ -17,10 +17,20 @@
 //!    A rule whose ISA is missing demotes to the next narrower one — e.g.
 //!    C = 512 on an AVX2-only i7 runs the AVX2 kernel, exactly as the paper
 //!    describes for conv5.1 on the i7-7700HQ.
+//!
+//! That rule is the **paper policy**: the spec validator, the fig7/table4
+//! reproductions and pooling still use it. The engine picks each conv
+//! layer's tier by measurement instead ([`VectorScheduler::tune_conv`]):
+//! which tier is fastest depends on the CPU as much as on the width (the
+//! masked-tail AVX-512 window kernel wins at every VGG width on an
+//! AVX-512 part; capped at 256 bits, the same part runs scalar fastest at
+//! C ≤ 64).
 
+use crate::conv::{conv_window, WindowGeom};
 use crate::detect::{features, HwFeatures};
 use crate::kernels::SimdLevel;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Word size used for channel packing (we press into `u64`).
 pub const PACK_BITS: usize = 64;
@@ -239,6 +249,114 @@ pub fn infer_pool(
     }
 }
 
+/// Output windows of a conv layer's first row that [`VectorScheduler::tune_conv`]
+/// times each tier on.
+const TUNE_WINDOWS: usize = 16;
+
+/// Timed repetitions per tier, after one discarded warm-up; the minimum
+/// counts.
+const TUNE_REPS: usize = 3;
+
+/// A tier whose warm-up takes more than this many times the best time so
+/// far cannot win, so it is not repeated: its warm-up time stands. This
+/// keeps the slow narrow tiers of the wide layers from dominating the
+/// tuning cost.
+const ABANDON_FACTOR: u64 = 2;
+
+/// The §III-B tier is kept when it is within this many percent of the
+/// fastest tier, so near-ties stay on the paper rule and a recompile picks
+/// the same tier.
+const PAPER_TOLERANCE_PCT: u64 = 10;
+
+/// Every tier the tuner may time, widest first: the widest is usually the
+/// fastest, and an early best time lets `ABANDON_FACTOR` cut the rest
+/// short.
+const TUNE_TIERS: [SimdLevel; 4] = [
+    SimdLevel::Avx512,
+    SimdLevel::Avx2,
+    SimdLevel::Sse,
+    SimdLevel::Scalar,
+];
+
+/// Why an operator runs the SIMD tier it does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TierReason {
+    /// Timed at compile time by [`VectorScheduler::tune_conv`]: the sample's
+    /// nanoseconds for every candidate tier, and the §III-B tier that
+    /// [`pick`] favours within 10%.
+    Measured {
+        /// Nanoseconds per candidate tier, widest first: the best of 3
+        /// reps, or the warm-up alone of a tier cut short because it took
+        /// more than twice the best time so far.
+        ns: Vec<(SimdLevel, u64)>,
+        /// The tier the §III-B rule gives this layer.
+        paper: SimdLevel,
+    },
+    /// The §III-B channel-width rule ([`VectorScheduler::try_select`]).
+    Paper,
+    /// The widest available tier ([`VectorScheduler::streaming_level`]).
+    Streaming,
+}
+
+impl std::fmt::Display for TierReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TierReason::Measured { ns, paper } => {
+                write!(f, "measured (§III-B: {paper}):")?;
+                for (level, t) in ns {
+                    write!(f, " {level} {t} ns")?;
+                }
+                Ok(())
+            }
+            TierReason::Paper => write!(f, "§III-B channel rule"),
+            TierReason::Streaming => write!(f, "streaming (widest tier)"),
+        }
+    }
+}
+
+/// One conv layer as [`VectorScheduler::tune_conv`] samples it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConvShape {
+    /// Filters (output channels).
+    pub k: usize,
+    /// Kernel height.
+    pub kh: usize,
+    /// Kernel width.
+    pub kw: usize,
+    /// Logical input channels.
+    pub c: usize,
+    /// Input width in pixels, spatial padding included.
+    pub padded_w: usize,
+    /// Stride.
+    pub stride: usize,
+}
+
+/// The tier [`VectorScheduler::tune_conv`] chose for one conv layer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConvTuning {
+    /// The tier to run.
+    pub level: SimdLevel,
+    /// The timings it was picked from.
+    pub why: TierReason,
+}
+
+/// Picks a tier from per-tier timings: the fastest, unless the §III-B tier
+/// `paper` is within 10% of it. Ties between other
+/// tiers go to the one listed first. With no timings, `paper`.
+pub fn pick(timings: &[(SimdLevel, u64)], paper: SimdLevel) -> SimdLevel {
+    let Some(&(fastest, best)) = timings.iter().min_by_key(|(_, ns)| *ns) else {
+        return paper;
+    };
+    match timings.iter().find(|(level, _)| *level == paper) {
+        Some(&(_, ns))
+            if u128::from(ns) * 100 <= u128::from(best) * u128::from(100 + PAPER_TOLERANCE_PCT) =>
+        {
+            paper
+        }
+        _ => fastest,
+    }
+}
+
 /// The scheduler proper: holds a (possibly capped) hardware feature set and
 /// maps channel widths to kernels.
 #[derive(Clone, Copy, Debug)]
@@ -324,6 +442,76 @@ impl VectorScheduler {
         } else {
             SimdLevel::Scalar
         }
+    }
+
+    /// Chooses one conv layer's tier by timing every tier this scheduler's
+    /// features allow on a sample of the layer: 16 windows of the first
+    /// output row against the layer's packed `filters` (filter `k` at word
+    /// `k·kh·kw·c_words`, as [`conv_window`] reads them) and a zeroed input
+    /// of `kh` rows at the padded width. Each tier runs once to warm up,
+    /// then 3 times unless the warm-up already took more than twice the
+    /// best so far; [`pick`] decides on the minimum. Widths and geometries
+    /// that [`VectorScheduler::try_select`] or [`try_infer_conv`] reject
+    /// come back as the same errors.
+    ///
+    /// # Panics
+    /// If `filters` is shorter than `k·kh·kw·c_words` words (the bounds
+    /// check of [`conv_window`]).
+    pub fn tune_conv(
+        &self,
+        filters: &[u64],
+        s: ConvShape,
+    ) -> Result<ConvTuning, UnsupportedKernel> {
+        let choice = self.try_select(s.c)?;
+        let out_w = try_infer_conv(s.kh, s.padded_w, s.k, s.kh, s.kw, s.stride, 0)?.out_w;
+        let row_stride = s
+            .padded_w
+            .checked_mul(choice.c_words)
+            .ok_or(UnsupportedKernel::ChannelOverflow { c: s.c })?;
+        let geom = WindowGeom {
+            base: 0,
+            row_stride,
+            row_len: s.kw * choice.c_words,
+            kh: s.kh,
+            n_logical: (s.kh * s.kw * s.c) as i32,
+        };
+        let input = vec![0u64; s.kh * row_stride];
+        let mut out = vec![0.0f32; s.k];
+        let windows = out_w.min(TUNE_WINDOWS);
+        let mut time = |level: SimdLevel| {
+            let t = Instant::now();
+            for ox in 0..windows {
+                let g = WindowGeom {
+                    base: ox * s.stride * choice.c_words,
+                    ..geom
+                };
+                conv_window(level, &input, filters, g, &mut out);
+            }
+            std::hint::black_box(&mut out);
+            t.elapsed().as_nanos() as u64
+        };
+        let mut ns = Vec::with_capacity(TUNE_TIERS.len());
+        let mut best = u64::MAX;
+        for level in TUNE_TIERS {
+            if !level.available(self.features) {
+                continue;
+            }
+            let warm = time(level);
+            let t = if warm > best.saturating_mul(ABANDON_FACTOR) {
+                warm
+            } else {
+                (0..TUNE_REPS).map(|_| time(level)).min().unwrap_or(warm)
+            };
+            best = best.min(t);
+            ns.push((level, t));
+        }
+        Ok(ConvTuning {
+            level: pick(&ns, choice.level),
+            why: TierReason::Measured {
+                ns,
+                paper: choice.level,
+            },
+        })
     }
 
     /// The level used for operators that stream long contiguous word runs
@@ -494,6 +682,126 @@ mod tests {
             Err(UnsupportedKernel::ChannelOverflow { c: usize::MAX - 1 })
         );
         assert_eq!(s.try_select(512).map(|k| k.level), Ok(SimdLevel::Avx512));
+    }
+
+    #[test]
+    fn pick_takes_the_fastest_tier() {
+        let t = [
+            (SimdLevel::Scalar, 1000),
+            (SimdLevel::Sse, 900),
+            (SimdLevel::Avx2, 700),
+            (SimdLevel::Avx512, 400),
+        ];
+        assert_eq!(pick(&t, SimdLevel::Scalar), SimdLevel::Avx512);
+        assert_eq!(pick(&t, SimdLevel::Avx512), SimdLevel::Avx512);
+        // Equal times: the first listed tier wins.
+        let tie = [(SimdLevel::Sse, 500), (SimdLevel::Avx2, 500)];
+        assert_eq!(pick(&tie, SimdLevel::Scalar), SimdLevel::Sse);
+    }
+
+    #[test]
+    fn pick_keeps_the_paper_tier_within_ten_percent() {
+        let t = [
+            (SimdLevel::Scalar, 1100),
+            (SimdLevel::Sse, 1500),
+            (SimdLevel::Avx512, 1000),
+        ];
+        assert_eq!(pick(&t, SimdLevel::Scalar), SimdLevel::Scalar);
+        let t = [(SimdLevel::Scalar, 1101), (SimdLevel::Avx512, 1000)];
+        assert_eq!(pick(&t, SimdLevel::Scalar), SimdLevel::Avx512);
+        // A paper tier that was not timed cannot be kept.
+        assert_eq!(pick(&t, SimdLevel::Avx2), SimdLevel::Avx512);
+        assert_eq!(pick(&[], SimdLevel::Sse), SimdLevel::Sse);
+    }
+
+    /// A VGG-like layer: `k` filters of 3×3 over `c` channels, padded width 18.
+    fn tune(s: &VectorScheduler, c: usize, k: usize) -> ConvTuning {
+        let shape = ConvShape {
+            k,
+            kh: 3,
+            kw: 3,
+            c,
+            padded_w: 18,
+            stride: 1,
+        };
+        let filters = vec![0x5555_5555_5555_5555u64; k * 9 * c.div_ceil(64)];
+        s.tune_conv(&filters, shape).expect("tunable layer")
+    }
+
+    #[test]
+    fn tune_conv_times_only_the_tiers_the_features_allow() {
+        let scalar = VectorScheduler::with_features(HwFeatures::scalar_only());
+        let avx2 = VectorScheduler::with_features(features().capped(256));
+        for c in [3usize, 64, 128, 256, 512] {
+            let t = tune(&scalar, c, 8);
+            assert_eq!(t.level, SimdLevel::Scalar, "c={c}");
+            let TierReason::Measured { ns, .. } = &t.why else {
+                panic!("tune_conv reports a measurement");
+            };
+            assert_eq!(ns.len(), 1, "c={c}");
+            let t = tune(&avx2, c, 8);
+            assert_ne!(t.level, SimdLevel::Avx512, "c={c}");
+            assert!(t.level.available(avx2.features()), "c={c}");
+        }
+    }
+
+    #[test]
+    fn tune_conv_reason_reproduces_its_pick() {
+        let s = VectorScheduler::new();
+        for c in [3usize, 64, 128, 512] {
+            let t = tune(&s, c, 16);
+            let TierReason::Measured { ns, paper } = &t.why else {
+                panic!("tune_conv reports a measurement");
+            };
+            assert_eq!(*paper, s.select(c).level, "c={c}");
+            assert_eq!(pick(ns, *paper), t.level, "c={c}");
+            let timed: Vec<SimdLevel> = ns.iter().map(|(l, _)| *l).collect();
+            let want: Vec<SimdLevel> = TUNE_TIERS
+                .into_iter()
+                .filter(|l| l.available(s.features()))
+                .collect();
+            assert_eq!(timed, want, "c={c}");
+        }
+    }
+
+    #[test]
+    fn tune_conv_rejects_what_the_paper_rule_and_shape_inferer_reject() {
+        let s = VectorScheduler::new();
+        let shape = ConvShape {
+            k: 1,
+            kh: 3,
+            kw: 3,
+            c: 0,
+            padded_w: 8,
+            stride: 1,
+        };
+        assert_eq!(
+            s.tune_conv(&[0; 9], shape),
+            Err(UnsupportedKernel::ZeroDim { what: "channels" })
+        );
+        let narrow = ConvShape {
+            c: 64,
+            padded_w: 2,
+            ..shape
+        };
+        assert!(matches!(
+            s.tune_conv(&[0; 9], narrow),
+            Err(UnsupportedKernel::KernelExceedsInput { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv filters reach past the bank")]
+    fn tune_conv_checks_the_filter_bank() {
+        let shape = ConvShape {
+            k: 4,
+            kh: 3,
+            kw: 3,
+            c: 64,
+            padded_w: 8,
+            stride: 1,
+        };
+        let _ = VectorScheduler::new().tune_conv(&[0; 9], shape);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::perf::{self, PerfSample};
+use bitflow_simd::scheduler::TierReason;
 use serde::{Deserialize, Serialize};
 
 use std::sync::Arc;
@@ -101,6 +103,12 @@ pub struct OpDescriptor {
     pub kind: OpKind,
     /// Static per-call cost.
     pub cost: OpCost,
+    /// SIMD tier the operator runs (`None` for operators without a
+    /// vector kernel choice).
+    pub tier: Option<SimdLevel>,
+    /// Why that tier: measured (with the timings), the §III-B rule, or
+    /// streaming. Set exactly when `tier` is.
+    pub why: Option<TierReason>,
 }
 
 /// Live counters for one operator. All fields are relaxed atomics.
@@ -457,6 +465,8 @@ mod tests {
                 name: "binarize-input".to_string(),
                 kind: OpKind::Binarize,
                 cost: OpCost::default(),
+                tier: None,
+                why: None,
             },
             OpDescriptor {
                 name: "conv1".to_string(),
@@ -474,6 +484,8 @@ mod tests {
                         par_k_chunk: 32,
                     }),
                 },
+                tier: Some(SimdLevel::Avx512),
+                why: Some(TierReason::Paper),
             },
         ]
     }

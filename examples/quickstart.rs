@@ -10,7 +10,9 @@ use bitflow::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() -> Result<(), BitFlowError> {
-    // 1. Hardware: what did the vector execution scheduler find?
+    // 1. Hardware: what did the vector execution scheduler find, and what
+    //    would the paper's channel-width rule (§III-B) pick? The engine
+    //    times each conv's tier when it compiles (`bitflow plan` shows it).
     println!("SIMD features detected: {}", features());
     let scheduler = VectorScheduler::new();
     for c in [3usize, 64, 128, 256, 512] {

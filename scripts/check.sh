@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh --fast   # skip the release builds of the workspace and
-#                             # of perfbench/ (lints, a type-check of
-#                             # perfbench/, debug tests)
+#                             # of perfbench/, the release kernel tests and
+#                             # the `bitflow plan` smoke (lints, a
+#                             # type-check of perfbench/, debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), the chaos
@@ -72,6 +73,10 @@ if [[ $fast -eq 0 ]]; then
     cargo build --release
     echo "==> benchmark crate builds against the engine API it calls"
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    echo "==> kernel tests in release (conv_window bounds checks are assert!, not debug_assert!)"
+    cargo test --release -q -p bitflow-simd
+    echo "==> bitflow plan smoke (per-conv measured tiers)"
+    cargo run --release -q --bin bitflow -- plan tiered_cnn
 else
     echo "==> benchmark crate type-checks against the engine API it calls"
     cargo check --offline --manifest-path perfbench/Cargo.toml

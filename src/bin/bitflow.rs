@@ -1,9 +1,10 @@
 //! `bitflow` — command-line front end for the BitFlow engine.
 //!
 //! ```text
-//! bitflow info                          host SIMD + scheduler mapping
+//! bitflow info                          host SIMD + §III-B paper mapping
 //! bitflow models                        built-in model specs
-//! bitflow plan <model>                  static memory plan for a model
+//! bitflow plan <model>                  per-op SIMD tier (and why) plus the
+//!                                       static memory plan for a model
 //! bitflow bench <model> [threads]       end-to-end inference timing
 //! bitflow train [epochs] [out.btfm]     train a small BNN, report accuracy,
 //!                                       optionally save the model
@@ -35,7 +36,7 @@ fn cmd_info() {
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     let s = VectorScheduler::new();
-    println!("  scheduler mapping (channel width -> kernel):");
+    println!("  §III-B paper rule (channel width -> kernel):");
     for c in [3usize, 32, 64, 128, 192, 256, 384, 512, 1024] {
         let k = s.select(c);
         println!(
@@ -45,6 +46,7 @@ fn cmd_info() {
             if k.padded { ", padded" } else { "" }
         );
     }
+    println!("  (the engine times each conv's tier instead; see `bitflow plan <model>`)");
 }
 
 fn cmd_models() {
@@ -76,8 +78,28 @@ fn cmd_plan(name: &str) {
         eprintln!("unknown model '{name}' (try: vgg16, vgg19, small_cnn, tiered_cnn)");
         std::process::exit(2);
     };
+    let weights = NetworkWeights::random(&spec, &mut StdRng::seed_from_u64(0));
+    let t = Instant::now();
+    let model = match CompiledModel::try_compile(&spec, &weights) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("cannot compile {name}: {e}");
+            std::process::exit(2);
+        }
+    };
+    println!(
+        "operators of {} (random weights, compiled in {:.1} ms):",
+        spec.name,
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    println!("{:<16} {:<12} why", "op", "tier");
+    for d in model.op_descriptors() {
+        let tier = d.tier.map_or_else(|| "-".to_string(), |l| l.to_string());
+        let why = d.why.map_or_else(|| "-".to_string(), |w| w.to_string());
+        println!("{:<16} {:<12} {why}", d.name, tier);
+    }
     let plan = MemoryPlan::for_binary(&spec);
-    println!("memory plan for {} (binary engine):", spec.name);
+    println!("\nmemory plan for {} (binary engine):", spec.name);
     println!(
         "{:<12} {:<12} {:>14} {:>12}",
         "producer", "kind", "logical elems", "bytes"
